@@ -29,6 +29,8 @@ CostModel::CostModel(const Graph& graph, const PersonalWeights& weights,
     pi2_sum_[a] += p * p;
   }
   scratch_.Resize(bound);
+  memo_slot_.assign(bound, 0);
+  memo_stamp_.assign(bound, 0);
 }
 
 void CollectIncidentPairs(const Graph& graph, const SummaryGraph& summary,
@@ -69,11 +71,10 @@ double CostModel::PairPotential(SupernodeId a, SupernodeId b) const {
 }
 
 double CostModel::PairCost(double potential, double edge_weight,
-                           uint32_t num_supernodes) const {
+                           double superedge_bits) const {
   // Guard against floating-point drift: real-edge weight can never exceed
   // the total pair weight.
   edge_weight = std::min(edge_weight, potential);
-  const double superedge_bits = 2.0 * Log2Bits(num_supernodes);
   const double with_edge =
       superedge_bits + bits_per_error_ * (potential - edge_weight);
   const double without_edge = bits_per_error_ * edge_weight;
@@ -87,9 +88,8 @@ double CostModel::PairCost(double potential, double edge_weight,
 }
 
 bool CostModel::SuperedgeBeneficial(double potential, double edge_weight,
-                                    uint32_t num_supernodes) const {
+                                    double superedge_bits) const {
   edge_weight = std::min(edge_weight, potential);
-  const double superedge_bits = 2.0 * Log2Bits(num_supernodes);
   const double with_edge =
       superedge_bits + bits_per_error_ * (potential - edge_weight);
   const double without_edge = bits_per_error_ * edge_weight;
@@ -104,7 +104,7 @@ void CostModel::CollectIncident(SupernodeId a,
 double CostModel::PairListCost(const std::vector<IncidentPair>& pairs,
                                SupernodeId self, double self_pi,
                                double self_pi2,
-                               uint32_t num_supernodes) const {
+                               double superedge_bits) const {
   const double z = weights_.Z();
   double total = 0.0;
   for (const IncidentPair& p : pairs) {
@@ -114,7 +114,7 @@ double CostModel::PairListCost(const std::vector<IncidentPair>& pairs,
     } else {
       potential = self_pi * pi_sum_[p.neighbor] / z;
     }
-    total += PairCost(potential, p.edge_weight, num_supernodes);
+    total += PairCost(potential, p.edge_weight, superedge_bits);
   }
   return total;
 }
@@ -122,28 +122,52 @@ double CostModel::PairListCost(const std::vector<IncidentPair>& pairs,
 double CostModel::SupernodeCost(SupernodeId a) {
   CollectIncident(a, buf_a_);
   return PairListCost(buf_a_, a, pi_sum_[a], pi2_sum_[a],
-                      summary_.num_supernodes());
+                      SuperedgeBits(summary_.num_supernodes()));
+}
+
+uint32_t CostModel::Memoized(SupernodeId a, double superedge_bits) {
+  if (memo_stamp_[a] == memo_epoch_) return memo_slot_[a];
+  if (memo_used_ == memo_.size()) memo_.emplace_back();
+  MemoEntry& entry = memo_[memo_used_];
+  CollectIncident(a, entry.pairs);
+  entry.cost =
+      PairListCost(entry.pairs, a, pi_sum_[a], pi2_sum_[a], superedge_bits);
+  memo_stamp_[a] = memo_epoch_;
+  memo_slot_[a] = static_cast<uint32_t>(memo_used_);
+  return static_cast<uint32_t>(memo_used_++);
+}
+
+void CostModel::InvalidateMemo() {
+  memo_used_ = 0;
+  if (++memo_epoch_ == 0) {  // stamp wrap-around: forget every stamp
+    std::fill(memo_stamp_.begin(), memo_stamp_.end(), 0);
+    memo_epoch_ = 1;
+  }
 }
 
 MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
   assert(a != b);
   const uint32_t s = summary_.num_supernodes();
-  CollectIncident(a, buf_a_);
-  CollectIncident(b, buf_b_);
-
-  const double cost_a = PairListCost(buf_a_, a, pi_sum_[a], pi2_sum_[a], s);
-  const double cost_b = PairListCost(buf_b_, b, pi_sum_[b], pi2_sum_[b], s);
+  const double bits = SuperedgeBits(s);
+  const double merged_bits = SuperedgeBits(s > 1 ? s - 1 : 1);
+  // Both lookups may append to memo_, so take references only after.
+  const uint32_t slot_a = Memoized(a, bits);
+  const uint32_t slot_b = Memoized(b, bits);
+  const std::vector<IncidentPair>& pairs_a = memo_[slot_a].pairs;
+  const std::vector<IncidentPair>& pairs_b = memo_[slot_b].pairs;
+  const double cost_a = memo_[slot_a].cost;
+  const double cost_b = memo_[slot_b].cost;
 
   // Cost of the pair {a, b} itself, which is counted in both supernode
   // costs (Eq. 10 subtracts it once).
   double edge_weight_ab = 0.0;
-  for (const IncidentPair& p : buf_a_) {
+  for (const IncidentPair& p : pairs_a) {
     if (p.neighbor == b) {
       edge_weight_ab = p.edge_weight;
       break;
     }
   }
-  const double cost_ab = PairCost(PairPotential(a, b), edge_weight_ab, s);
+  const double cost_ab = PairCost(PairPotential(a, b), edge_weight_ab, bits);
 
   // Aggregates of the hypothetical merged supernode. We reuse `a` as the
   // sentinel id for "the merged supernode" in buf_m_.
@@ -164,8 +188,8 @@ MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
       scratch_.Add(p.neighbor, p.edge_weight, p.edge_count);
     }
   };
-  fold(buf_a_, /*from_a=*/true);
-  fold(buf_b_, /*from_a=*/false);
+  fold(pairs_a, /*from_a=*/true);
+  fold(pairs_b, /*from_a=*/false);
   for (SupernodeId c : scratch_.touched) {
     buf_m_.push_back({c, scratch_.weight[c], scratch_.count[c]});
   }
@@ -178,7 +202,7 @@ MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
   // Temporarily alias the merged aggregates through `self_pi` arguments;
   // neighbor potentials use the (unchanged) per-neighbor sums.
   const double cost_merged =
-      PairListCost(buf_m_, a, merged_pi, merged_pi2, s > 1 ? s - 1 : 1);
+      PairListCost(buf_m_, a, merged_pi, merged_pi2, merged_bits);
 
   MergeEval eval;
   const double base = cost_a + cost_b - cost_ab;
@@ -196,6 +220,7 @@ void CostModel::OnMerge(SupernodeId a, SupernodeId b, SupernodeId winner) {
   const double pi2 = pi2_sum_[a] + pi2_sum_[b];
   pi_sum_[winner] = pi;
   pi2_sum_[winner] = pi2;
+  InvalidateMemo();
 }
 
 }  // namespace pegasus

@@ -17,6 +17,16 @@
 //
 // The model owns the per-supernode aggregates (Pi_A, sum pi^2, weighted
 // self-edge sums) and must be notified of merges via OnMerge().
+//
+// Memo invariant (incremental merge evaluation). Within one candidate
+// group a supernode's incident-pair list and its Eq. 9 cost depend only
+// on the partition, the aggregates and |S|, and all three change only
+// through a merge. EvaluateMerge therefore memoizes both per supernode
+// and reuses them for every sampled pair until the entry is invalidated:
+// by OnMerge (the only partition change the model sees) or by
+// InvalidateMemo() at the start of a new group. Memoized and recomputed
+// values are the same floating-point operations on the same inputs, so
+// evaluations are bit-identical either way.
 
 #ifndef PEGASUS_CORE_COST_MODEL_H_
 #define PEGASUS_CORE_COST_MODEL_H_
@@ -27,6 +37,7 @@
 #include "src/core/personal_weights.h"
 #include "src/core/summary_graph.h"
 #include "src/graph/graph.h"
+#include "src/util/bits.h"
 
 namespace pegasus {
 
@@ -124,16 +135,24 @@ class CostModel {
   // T_AB for the current partition (a may equal b).
   double PairPotential(SupernodeId a, SupernodeId b) const;
 
-  // Encoding cost of one pair given its aggregates, for a summary with
-  // `num_supernodes` supernodes. Chooses the cheaper of keeping/dropping
-  // the superedge (and the entropy option under kBestOfBoth).
+  // 2 log2|S| — bits of one superedge in a summary with `num_supernodes`
+  // supernodes. Per-pair loops compute it once and pass it to PairCost and
+  // SuperedgeBeneficial.
+  static double SuperedgeBits(uint32_t num_supernodes) {
+    return 2.0 * Log2Bits(num_supernodes);
+  }
+
+  // Encoding cost of one pair given its aggregates, where one superedge
+  // costs `superedge_bits` (SuperedgeBits(|S|)). Chooses the cheaper of
+  // keeping/dropping the superedge (and the entropy option under
+  // kBestOfBoth).
   double PairCost(double potential, double edge_weight,
-                  uint32_t num_supernodes) const;
+                  double superedge_bits) const;
 
   // True iff keeping a superedge for the pair is the cheaper option under
   // error correction (this is the output decision rule of Alg. 2 line 9).
   bool SuperedgeBeneficial(double potential, double edge_weight,
-                           uint32_t num_supernodes) const;
+                           double superedge_bits) const;
 
   // CollectIncidentPairs() against the model's own scratch.
   void CollectIncident(SupernodeId a, std::vector<IncidentPair>& out);
@@ -142,10 +161,17 @@ class CostModel {
   double SupernodeCost(SupernodeId a);
 
   // Evaluates merging supernodes a and b (Eqs. 10-11) without mutating
-  // anything.
+  // the summary or the aggregates. Reads and fills the memo (see the
+  // invariant above).
   MergeEval EvaluateMerge(SupernodeId a, SupernodeId b);
 
+  // Drops every memoized supernode view. MergeEngine::ProcessGroup calls
+  // it at the start of each group, which bounds the memo by the group
+  // size.
+  void InvalidateMemo();
+
   // Notifies the model that the summary merged a and b into `winner`.
+  // Invalidates the memo.
   void OnMerge(SupernodeId a, SupernodeId b, SupernodeId winner);
 
   // 2 * log2 |V| — bits per erroneous unordered pair.
@@ -154,11 +180,20 @@ class CostModel {
   const PersonalWeights& weights() const { return weights_; }
 
  private:
+  // One memoized supernode: its incident pairs and its Eq. 9 cost.
+  struct MemoEntry {
+    std::vector<IncidentPair> pairs;
+    double cost = 0.0;
+  };
+
   // Cost contribution of a pair list (shared by SupernodeCost and
   // EvaluateMerge).
   double PairListCost(const std::vector<IncidentPair>& pairs,
                       SupernodeId self, double self_pi, double self_pi2,
-                      uint32_t num_supernodes) const;
+                      double superedge_bits) const;
+
+  // Index into memo_ of a's entry, computing it on a miss.
+  uint32_t Memoized(SupernodeId a, double superedge_bits);
 
   const Graph& graph_;
   const PersonalWeights& weights_;
@@ -171,9 +206,17 @@ class CostModel {
 
   IncidentScratch scratch_;
 
-  // Reusable buffers for EvaluateMerge.
+  // EvaluateMerge memo: memo_slot_[a] indexes memo_ iff memo_stamp_[a] ==
+  // memo_epoch_. Entries past memo_used_ are spare buffers kept for their
+  // capacity.
+  std::vector<MemoEntry> memo_;
+  size_t memo_used_ = 0;
+  std::vector<uint32_t> memo_slot_;
+  std::vector<uint32_t> memo_stamp_;
+  uint32_t memo_epoch_ = 1;
+
+  // Reusable buffers for SupernodeCost and EvaluateMerge.
   std::vector<IncidentPair> buf_a_;
-  std::vector<IncidentPair> buf_b_;
   std::vector<IncidentPair> buf_m_;
 };
 

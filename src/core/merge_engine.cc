@@ -12,6 +12,9 @@ MergeEngine::MergeEngine(const Graph& graph, SummaryGraph& summary,
 
 void MergeEngine::ProcessGroup(std::vector<SupernodeId>& group,
                                ThresholdPolicy& threshold, Rng& rng) {
+  // Candidate groups are disjoint, so earlier groups' memo entries are
+  // dead weight; dropping them bounds the memo by this group's size.
+  cost_.InvalidateMemo();
   int fails = 0;
   while (group.size() > 1) {
     const double max_fails =
@@ -85,10 +88,10 @@ void MergeEngine::ReselectSuperedges(SupernodeId a) {
   summary_.ClearSuperedgesOf(a);
 
   cost_.CollectIncident(a, incident_buf_);
-  const uint32_t s = summary_.num_supernodes();
+  const double bits = CostModel::SuperedgeBits(summary_.num_supernodes());
   for (const IncidentPair& p : incident_buf_) {
     const double potential = cost_.PairPotential(a, p.neighbor);
-    if (cost_.SuperedgeBeneficial(potential, p.edge_weight, s)) {
+    if (cost_.SuperedgeBeneficial(potential, p.edge_weight, bits)) {
       summary_.SetSuperedge(a, p.neighbor, p.edge_count);
     }
   }

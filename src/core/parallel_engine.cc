@@ -90,33 +90,41 @@ void GroupMergePlanner::BuildCanonical(uint32_t root, CanonicalView& out) {
 
 double GroupMergePlanner::ViewCost(const CanonicalView& view, double self_pi,
                                    double self_pi2,
-                                   uint32_t num_supernodes) const {
+                                   double superedge_bits) const {
   const double z = cost_.weights().Z();
   double total = 0.0;
   for (const IncidentPair& p : view.ext) {
     const double potential = self_pi * PiOf(p.neighbor) / z;
-    total += cost_.PairCost(potential, p.edge_weight, num_supernodes);
+    total += cost_.PairCost(potential, p.edge_weight, superedge_bits);
   }
   if (view.self_count > 0 || view.self_weight > kEps) {
     const double potential = (self_pi * self_pi - self_pi2) / (2.0 * z);
-    total += cost_.PairCost(potential, view.self_weight, num_supernodes);
+    total += cost_.PairCost(potential, view.self_weight, superedge_bits);
   }
   return total;
 }
 
+const GroupMergePlanner::MemoView& GroupMergePlanner::View(
+    uint32_t root, double superedge_bits) {
+  MemoView& memo = views_[root];
+  if (memo.epoch != view_epoch_) {
+    BuildCanonical(root, memo.view);
+    memo.cost = ViewCost(memo.view, locals_[root].pi, locals_[root].pi2,
+                         superedge_bits);
+    memo.epoch = view_epoch_;
+  }
+  return memo;
+}
+
 MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
-                                           uint32_t num_supernodes,
-                                           CanonicalView& va,
-                                           CanonicalView& vb,
-                                           CanonicalView& vm) {
-  BuildCanonical(ra, va);
-  BuildCanonical(rb, vb);
+                                           double superedge_bits,
+                                           double merged_bits) {
+  const MemoView& memo_a = View(ra, superedge_bits);
+  const MemoView& memo_b = View(rb, superedge_bits);
+  const CanonicalView& va = memo_a.view;
+  const CanonicalView& vb = memo_b.view;
   const Local& a = locals_[ra];
   const Local& b = locals_[rb];
-  const uint32_t s = num_supernodes;
-
-  const double cost_a = ViewCost(va, a.pi, a.pi2, s);
-  const double cost_b = ViewCost(vb, b.pi, b.pi2, s);
 
   // Cost of the pair {a, b} itself, counted in both supernode costs
   // (Eq. 10 subtracts it once).
@@ -128,10 +136,12 @@ MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
     }
   }
   const double z = cost_.weights().Z();
-  const double cost_ab = cost_.PairCost(a.pi * b.pi / z, edge_weight_ab, s);
+  const double cost_ab =
+      cost_.PairCost(a.pi * b.pi / z, edge_weight_ab, superedge_bits);
 
   // Fold the two canonical views into the hypothetical merged supernode.
   // The cross pair {a, b} appears in both views; count it from a's side.
+  CanonicalView& vm = view_m_;
   vm.self_weight = va.self_weight + vb.self_weight;
   vm.self_count = va.self_count + vb.self_count;
   vm.ext.clear();
@@ -154,11 +164,10 @@ MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
 
   const double merged_pi = a.pi + b.pi;
   const double merged_pi2 = a.pi2 + b.pi2;
-  const double cost_merged =
-      ViewCost(vm, merged_pi, merged_pi2, s > 1 ? s - 1 : 1);
+  const double cost_merged = ViewCost(vm, merged_pi, merged_pi2, merged_bits);
 
   MergeEval eval;
-  const double base = cost_a + cost_b - cost_ab;
+  const double base = memo_a.cost + memo_b.cost - cost_ab;
   eval.absolute = base - cost_merged;
   if (base > kEps) {
     eval.relative = eval.absolute / base;
@@ -168,8 +177,7 @@ MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
   return eval;
 }
 
-uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb,
-                                       CanonicalView& vm) {
+uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb) {
   // Mirror SummaryGraph::MergeSupernodes' winner rule for the argument
   // order (ra, rb), so the staged apply resolves to the same winner id.
   const uint32_t winner =
@@ -180,12 +188,15 @@ uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb,
   w.pi += l.pi;
   w.pi2 += l.pi2;
   w.num_members += l.num_members;
-  w.self_weight = vm.self_weight;
-  w.self_count = vm.self_count;
-  w.ext.swap(vm.ext);
+  w.self_weight = view_m_.self_weight;
+  w.self_count = view_m_.self_count;
+  w.ext.swap(view_m_.ext);
   l.alive = false;
   l.parent = winner;
   l.ext.clear();
+  // The union-find, the aggregates and |S| all changed: every root's view
+  // and cost may differ now.
+  ++view_epoch_;
   return winner;
 }
 
@@ -198,8 +209,10 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
   if (m < 2) return plan;
 
   ++group_stamp_;
+  ++view_epoch_;
   locals_.clear();
   locals_.resize(m);
+  if (views_.size() < m) views_.resize(m);
   for (uint32_t i = 0; i < m; ++i) {
     const SupernodeId id = group[i];
     Local& local = locals_[i];
@@ -227,6 +240,11 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
     const double max_fails = std::log2(static_cast<double>(active.size()));
     if (fails > static_cast<int>(max_fails)) break;
 
+    // 2 log2|S| now and after one more merge, for every pair this round.
+    const double bits = CostModel::SuperedgeBits(s_view);
+    const double merged_bits =
+        CostModel::SuperedgeBits(s_view > 1 ? s_view - 1 : 1);
+
     const size_t num_samples = active.size();
     double best_score = -1e300;
     uint32_t best_a = 0, best_b = 0;
@@ -234,8 +252,7 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
       size_t x = static_cast<size_t>(rng.Uniform(active.size()));
       size_t y = static_cast<size_t>(rng.Uniform(active.size() - 1));
       if (y >= x) ++y;
-      MergeEval eval = EvaluateLocal(active[x], active[y], s_view, view_a_,
-                                     view_b_, view_m_);
+      MergeEval eval = EvaluateLocal(active[x], active[y], bits, merged_bits);
       ++plan.evaluations;
       const double score = eval.score(score_);
       if (score > best_score) {
@@ -248,9 +265,9 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
     if (best_score >= theta) {
       // Re-derive the merged view for the chosen pair (view_m_ holds the
       // last sampled pair's, not necessarily the best one's).
-      EvaluateLocal(best_a, best_b, s_view, view_a_, view_b_, view_m_);
+      EvaluateLocal(best_a, best_b, bits, merged_bits);
       plan.merges.emplace_back(locals_[best_a].orig, locals_[best_b].orig);
-      const uint32_t winner = MergeLocal(best_a, best_b, view_m_);
+      const uint32_t winner = MergeLocal(best_a, best_b);
       const uint32_t loser = winner == best_a ? best_b : best_a;
       active.erase(std::remove(active.begin(), active.end(), loser),
                    active.end());
@@ -272,10 +289,10 @@ void GroupMergePlanner::ComputeReselection(
   kept.clear();
   CollectIncidentPairs(graph_, summary_, cost_.weights(), a, scratch_,
                        collect_buf_);
-  const uint32_t s = summary_.num_supernodes();
+  const double bits = CostModel::SuperedgeBits(summary_.num_supernodes());
   for (const IncidentPair& p : collect_buf_) {
     const double potential = cost_.PairPotential(a, p.neighbor);
-    if (cost_.SuperedgeBeneficial(potential, p.edge_weight, s)) {
+    if (cost_.SuperedgeBeneficial(potential, p.edge_weight, bits)) {
       kept.emplace_back(p.neighbor, p.edge_count);
     }
   }

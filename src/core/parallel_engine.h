@@ -16,6 +16,14 @@
 //      stream derived as round_seed ^ SplitMix64(group_min_id), so its
 //      plan is independent of which worker runs it and in what order.
 //      The planner's |S| view is the snapshot count minus its own merges.
+//      Evaluation is incremental: a local root's canonical view and its
+//      Eq. 9 cost depend only on the group's union-find, the local
+//      aggregates and |S|, which change only when the planner merges, so
+//      each is built once and reused by every sampled pair until the next
+//      merge in the group or the next group invalidates it (see
+//      GroupMergePlanner::View). Reuse replays the same floating-point
+//      operations on the same inputs, so plans are bit-identical to
+//      rebuilding per pair.
 //   3. Apply (serial barrier): planned merges are applied group-by-group
 //      in candidate order (MergeEngine::ApplyMergeDeferred), per-group
 //      failure logs are folded into the ThresholdPolicy, and per-worker
@@ -120,6 +128,14 @@ class GroupMergePlanner {
     std::vector<IncidentPair> ext;
   };
 
+  // Memoized canonical view and Eq. 9 cost of one local root; valid iff
+  // epoch == view_epoch_.
+  struct MemoView {
+    CanonicalView view;
+    double cost = 0.0;
+    uint64_t epoch = 0;
+  };
+
   uint32_t FindRoot(uint32_t i);
   // Local slot of supernode id, or UINT32_MAX if not in the current group.
   uint32_t LocalSlot(SupernodeId id) const;
@@ -128,13 +144,20 @@ class GroupMergePlanner {
   void CollectFrozen(SupernodeId a, Local& out);
   void BuildCanonical(uint32_t root, CanonicalView& out);
   double ViewCost(const CanonicalView& view, double self_pi, double self_pi2,
-                  uint32_t num_supernodes) const;
-  MergeEval EvaluateLocal(uint32_t ra, uint32_t rb, uint32_t num_supernodes,
-                          CanonicalView& va, CanonicalView& vb,
-                          CanonicalView& vm);
-  // Stores the merged state (vm + summed aggregates) on the winner root
-  // and retires the loser. Returns the winner root.
-  uint32_t MergeLocal(uint32_t ra, uint32_t rb, CanonicalView& vm);
+                  double superedge_bits) const;
+  // The memoized view of local root `root`, built on a miss. Entries are
+  // invalidated (view_epoch_ bumped) by every local merge and at group
+  // start — the only events that change a root's view or cost.
+  const MemoView& View(uint32_t root, double superedge_bits);
+  // Eqs. 10-11 for roots ra, rb; `superedge_bits` and `merged_bits` are
+  // 2 log2|S| for the current and the post-merge |S|. Leaves the merged
+  // view in view_m_.
+  MergeEval EvaluateLocal(uint32_t ra, uint32_t rb, double superedge_bits,
+                          double merged_bits);
+  // Stores the merged state (view_m_ + summed aggregates) on the winner
+  // root, retires the loser and invalidates every memoized view. Returns
+  // the winner root.
+  uint32_t MergeLocal(uint32_t ra, uint32_t rb);
 
   const Graph& graph_;
   const SummaryGraph& summary_;
@@ -153,10 +176,13 @@ class GroupMergePlanner {
   // model's scratch).
   IncidentScratch scratch_;
 
+  // Per-local-slot view memo. Grows to the largest group seen and keeps
+  // its buffers across groups; a 64-bit epoch never wraps.
+  std::vector<MemoView> views_;
+  uint64_t view_epoch_ = 0;
+
   // Reusable buffers for CollectFrozen/ComputeReselection/EvaluateLocal.
   std::vector<IncidentPair> collect_buf_;
-  CanonicalView view_a_;
-  CanonicalView view_b_;
   CanonicalView view_m_;
 };
 

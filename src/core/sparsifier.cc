@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/util/bits.h"
-
 namespace pegasus {
 
 uint64_t SparsifyToBudget(const Graph& graph, CostModel& cost,
@@ -19,7 +17,8 @@ uint64_t SparsifyToBudget(const Graph& graph, CostModel& cost,
     double score;
   };
   std::vector<Scored> scored;
-  const uint32_t s = summary.num_supernodes();
+  const double superedge_bits =
+      CostModel::SuperedgeBits(summary.num_supernodes());
   for (SupernodeId a : summary.ActiveSupernodes()) {
     // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
     for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
@@ -60,7 +59,7 @@ uint64_t SparsifyToBudget(const Graph& graph, CostModel& cost,
       // Cost_AB with the superedge present (Eq. 6): 2 log2|S| +
       // bits-per-error * (T_AB - E_AB). Computed with the indicator of the
       // actual P (the superedge exists), not the optimal re-encoding.
-      sc.score = 2.0 * Log2Bits(s) +
+      sc.score = superedge_bits +
                  cost.BitsPerError() * std::max(0.0, potential - e);
     } else {
       // Damage of dropping: the pair cost becomes bits-per-error * E_AB.

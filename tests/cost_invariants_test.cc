@@ -132,7 +132,7 @@ TEST_P(CostInvariantsTest, ReselectionMatchesBenefitRule) {
     for (const IncidentPair& p : incident) {
       const bool beneficial = f.cost.SuperedgeBeneficial(
           f.cost.PairPotential(a, p.neighbor), p.edge_weight,
-          f.summary.num_supernodes());
+          CostModel::SuperedgeBits(f.summary.num_supernodes()));
       EXPECT_EQ(f.summary.HasSuperedge(a, p.neighbor), beneficial)
           << "pair " << a << "," << p.neighbor;
       beneficial_count += beneficial;

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "src/core/cost_model.h"
 #include "src/core/merge_engine.h"
@@ -120,11 +122,13 @@ TEST(CostModelTest, PairCostUniformWeights) {
   CostModel cm(g, w, s);
   EXPECT_DOUBLE_EQ(cm.BitsPerError(), 6.0);
   // potential 4, edges 3, |S| = 8: with = 2*3 + 6*1 = 12; without = 18.
-  EXPECT_DOUBLE_EQ(cm.PairCost(4.0, 3.0, 8), 12.0);
-  EXPECT_TRUE(cm.SuperedgeBeneficial(4.0, 3.0, 8));
+  const double bits = CostModel::SuperedgeBits(8);
+  EXPECT_DOUBLE_EQ(bits, 6.0);
+  EXPECT_DOUBLE_EQ(cm.PairCost(4.0, 3.0, bits), 12.0);
+  EXPECT_TRUE(cm.SuperedgeBeneficial(4.0, 3.0, bits));
   // potential 4, edges 1: with = 6 + 18 = 24; without = 6.
-  EXPECT_DOUBLE_EQ(cm.PairCost(4.0, 1.0, 8), 6.0);
-  EXPECT_FALSE(cm.SuperedgeBeneficial(4.0, 1.0, 8));
+  EXPECT_DOUBLE_EQ(cm.PairCost(4.0, 1.0, bits), 6.0);
+  EXPECT_FALSE(cm.SuperedgeBeneficial(4.0, 1.0, bits));
 }
 
 TEST(CostModelTest, EntropyEncodingNeverWorse) {
@@ -133,11 +137,12 @@ TEST(CostModelTest, EntropyEncodingNeverWorse) {
   auto w = PersonalWeights::Compute(g, {}, 1.0);
   CostModel ec(g, w, s, EncodingScheme::kErrorCorrection);
   CostModel both(g, w, s, EncodingScheme::kBestOfBoth);
+  const double bits = CostModel::SuperedgeBits(16);
   for (double potential : {1.0, 10.0, 100.0}) {
     for (double edges : {0.0, 1.0, 5.0, 50.0}) {
       if (edges > potential) continue;
-      EXPECT_LE(both.PairCost(potential, edges, 16),
-                ec.PairCost(potential, edges, 16) + 1e-12);
+      EXPECT_LE(both.PairCost(potential, edges, bits),
+                ec.PairCost(potential, edges, bits) + 1e-12);
     }
   }
 }
@@ -168,7 +173,8 @@ TEST(CostModelTest, MergePredictionMatchesPostMergeCost) {
       if (p.neighbor == b) e_ab = p.edge_weight;
     }
     const double cost_ab =
-        cm.PairCost(cm.PairPotential(a, b), e_ab, s.num_supernodes());
+        cm.PairCost(cm.PairPotential(a, b), e_ab,
+                    CostModel::SuperedgeBits(s.num_supernodes()));
 
     MergeEval eval = cm.EvaluateMerge(a, b);
     const double predicted_merged =
@@ -219,6 +225,46 @@ TEST(CostModelTest, OnMergeUpdatesPiSums) {
   EXPECT_NEAR(cm.Pi2(winner), pi0 * pi0 + pi1 * pi1, 1e-12);
 }
 
+TEST(CostModelTest, MemoizedEvaluationMatchesFreshModelAfterMerge) {
+  // EvaluateMerge memoizes each supernode's incident pairs and cost until
+  // OnMerge. After a merge the memoized model must agree bit for bit with
+  // a model built from scratch on the new partition. The merges join
+  // ascending node runs, so both models sum each supernode's pi in the
+  // same order.
+  Graph g = GenerateBarabasiAlbert(60, 2, 11);
+  SummaryGraph s = SummaryGraph::Identity(g);
+  auto w = PersonalWeights::Compute(g, {0, 5}, 1.25);
+  CostModel cm(g, w, s);
+
+  // Every pair of alive supernodes, as the bit patterns of both scores.
+  auto evaluate_all = [&](CostModel& model) {
+    std::vector<uint64_t> out;
+    const std::vector<SupernodeId> active = s.ActiveSupernodes();
+    for (size_t i = 0; i < active.size(); ++i) {
+      for (size_t j = 0; j < active.size(); ++j) {
+        if (i == j) continue;
+        const MergeEval e = model.EvaluateMerge(active[i], active[j]);
+        out.push_back(std::bit_cast<uint64_t>(e.absolute));
+        out.push_back(std::bit_cast<uint64_t>(e.relative));
+      }
+    }
+    return out;
+  };
+
+  auto merge_and_compare = [&](SupernodeId a, SupernodeId b) {
+    evaluate_all(cm);  // fill the memo on the pre-merge partition
+    const SupernodeId winner = s.MergeSupernodes(a, b);
+    cm.OnMerge(a, b, winner);
+    CostModel fresh(g, w, s);
+    EXPECT_EQ(evaluate_all(cm), evaluate_all(fresh))
+        << "after merging " << a << " and " << b;
+    return winner;
+  };
+  const SupernodeId merged01 = merge_and_compare(0, 1);
+  merge_and_compare(merged01, 2);
+  merge_and_compare(10, 11);
+}
+
 // Integration identity: when every supernode's superedges are chosen
 // optimally, the decomposed cost (Eq. 8) equals Size(G̅) + log2|V| * RE
 // (Eq. 5) computed independently by the error evaluator.
@@ -238,13 +284,14 @@ TEST(CostModelTest, CostDecompositionMatchesEq5) {
   for (SupernodeId a : s.ActiveSupernodes()) engine.ReselectSuperedges(a);
 
   const uint32_t ns = s.num_supernodes();
+  const double superedge_bits = CostModel::SuperedgeBits(ns);
   double pair_total = 0.0;
   auto active = s.ActiveSupernodes();
   for (size_t i = 0; i < active.size(); ++i) {
     for (size_t j = i; j < active.size(); ++j) {
       const double potential = BrutePotential(s, w, active[i], active[j]);
       const double edges = BruteEdgeWeight(g, s, w, active[i], active[j]);
-      pair_total += cm.PairCost(potential, edges, ns);
+      pair_total += cm.PairCost(potential, edges, superedge_bits);
     }
   }
   const double decomposed =

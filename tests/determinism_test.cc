@@ -8,7 +8,12 @@
 //     every thread count of the parallel engine (num_threads in {2, 8}
 //     here; the broader sweep lives in parallel_engine_test.cc), and each
 //     setting must be run-to-run deterministic.
-//  3. Every query family's answer bytes must match checked-in golden
+//  3. The parallel engine (num_threads >= 2, what shard-build and the
+//     benchmark set-ups run) is pinned across commits too: fixed seeds
+//     must reproduce checked-in counts and a hash of the partition and
+//     superedge set, so a planner change that alters its summaries fails
+//     here rather than only in run-to-run comparisons.
+//  4. Every query family's answer bytes must match checked-in golden
 //     hashes (tests/test_util.h). The canonical sorted-adjacency pipeline
 //     fixes every floating-point summation order by the data alone, so
 //     these hashes must agree across standard libraries (gcc/libstdc++
@@ -33,9 +38,11 @@
 #include <vector>
 
 #include "src/core/pegasus.h"
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -99,6 +106,20 @@ TEST(DeterminismTest, SerialPathReproducesPrePrOutputFixtureB) {
   ExpectMatchesGolden(kGoldenB);
 }
 
+using SuperedgeTuple = std::tuple<SupernodeId, SupernodeId, uint32_t>;
+
+// Every superedge once, as (a <= b, weight), in ascending order.
+std::vector<SuperedgeTuple> SortedSuperedges(const SummaryGraph& s) {
+  std::vector<SuperedgeTuple> out;
+  for (SupernodeId a : s.ActiveSupernodes()) {
+    for (const auto& [b, w] : s.superedges(a)) {
+      if (b >= a) out.emplace_back(a, b, w);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 // Full structural equality of two summaries.
 void ExpectSameSummary(const SummaryGraph& x, const SummaryGraph& y) {
   ASSERT_EQ(x.num_nodes(), y.num_nodes());
@@ -107,18 +128,7 @@ void ExpectSameSummary(const SummaryGraph& x, const SummaryGraph& y) {
   for (NodeId u = 0; u < x.num_nodes(); ++u) {
     ASSERT_EQ(x.supernode_of(u), y.supernode_of(u)) << "node " << u;
   }
-  using E = std::tuple<SupernodeId, SupernodeId, uint32_t>;
-  auto edges = [](const SummaryGraph& s) {
-    std::vector<E> out;
-    for (SupernodeId a : s.ActiveSupernodes()) {
-      for (const auto& [b, w] : s.superedges(a)) {
-        if (b >= a) out.emplace_back(a, b, w);
-      }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  };
-  EXPECT_EQ(edges(x), edges(y));
+  EXPECT_EQ(SortedSuperedges(x), SortedSuperedges(y));
 }
 
 TEST(DeterminismTest, EachThreadCountIsRunToRunDeterministic) {
@@ -153,13 +163,106 @@ TEST(DeterminismTest, SerialScheduleIsPinnedIndependentlyOfParallel) {
             parallel.merge_stats.evaluations);
 }
 
-// --- Cross-stdlib query goldens (ISSUE 5) ---------------------------------
-
 std::string Hex(uint64_t h) {
   std::ostringstream out;
   out << "0x" << std::hex << std::setw(16) << std::setfill('0') << h;
   return out.str();
 }
+
+// --- Parallel-engine goldens -------------------------------------------------
+
+// FNV-1a over node_to_super (in node order) followed by the sorted
+// superedge list: equal hashes mean the same partition, supernode ids and
+// superedge set.
+uint64_t HashSummary(const SummaryGraph& s) {
+  using ::pegasus::testing::HashWord;
+  uint64_t h = HashWord(::pegasus::testing::kFnvOffset64, s.num_nodes());
+  for (NodeId u = 0; u < s.num_nodes(); ++u) {
+    h = HashWord(h, s.supernode_of(u));
+  }
+  for (const auto& [a, b, w] : SortedSuperedges(s)) {
+    h = HashWord(h, a);
+    h = HashWord(h, b);
+    h = HashWord(h, w);
+  }
+  return h;
+}
+
+struct ParallelGolden {
+  uint32_t supernodes;
+  uint64_t superedges;
+  double size_bits;
+  uint64_t merges;
+  uint64_t evaluations;
+  uint64_t failures;
+  int iterations;
+  uint64_t dropped;
+  uint64_t summary_hash;
+};
+
+void ExpectMatchesParallelGolden(const SummarizationResult& r,
+                                 const ParallelGolden& g) {
+  // One line with every actual value, for re-pinning after an intentional
+  // change to the parallel schedule.
+  SCOPED_TRACE(::testing::Message()
+               << "actual {" << r.summary.num_supernodes() << ", "
+               << r.summary.num_superedges() << ", " << std::fixed
+               << std::setprecision(6) << r.final_size_bits << ", "
+               << r.merge_stats.merges << ", " << r.merge_stats.evaluations
+               << ", " << r.merge_stats.failures << ", " << r.iterations_run
+               << ", " << r.superedges_dropped << ", "
+               << Hex(HashSummary(r.summary)) << "}");
+  EXPECT_EQ(r.summary.num_supernodes(), g.supernodes);
+  EXPECT_EQ(r.summary.num_superedges(), g.superedges);
+  EXPECT_NEAR(r.final_size_bits, g.size_bits, 1e-4);
+  EXPECT_EQ(r.merge_stats.merges, g.merges);
+  EXPECT_EQ(r.merge_stats.evaluations, g.evaluations);
+  EXPECT_EQ(r.merge_stats.failures, g.failures);
+  EXPECT_EQ(r.iterations_run, g.iterations);
+  EXPECT_EQ(r.superedges_dropped, g.dropped);
+  EXPECT_EQ(HashSummary(r.summary), g.summary_hash);
+}
+
+// Captured from the parallel engine before incremental merge evaluation
+// landed; the memoized planner must reproduce them exactly. The parallel
+// output is thread-count invariant, so 2 and 8 workers share one golden.
+const ParallelGolden kParallelGoldenA{
+    241, 442, 10160.149908, 159, 9253, 1662, 9, 0, 0x39069956b0104b96ULL};
+const ParallelGolden kParallelGoldenB{
+    179, 191, 4729.771571, 71, 6470, 875, 8, 288, 0x9d9cde5b7a497d38ULL};
+const ParallelGolden kParallelGoldenSkitter{
+    688, 1819, 45378.038529, 488, 37775, 4513, 12, 0, 0x12493b98878020bfULL};
+
+TEST(DeterminismTest, ParallelPathMatchesGoldenFixtureA) {
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE(threads);
+    ExpectMatchesParallelGolden(RunCase(kGoldenA, threads), kParallelGoldenA);
+  }
+}
+
+TEST(DeterminismTest, ParallelPathMatchesGoldenFixtureB) {
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE(threads);
+    ExpectMatchesParallelGolden(RunCase(kGoldenB, threads), kParallelGoldenB);
+  }
+}
+
+TEST(DeterminismTest, ParallelPathMatchesGoldenHubHeavySkitter) {
+  // Skitter* tiny has heavy-tailed degrees, so its candidate groups mix
+  // hubs with leaves: the case where one supernode's incident list is
+  // reused across many sampled pairs.
+  const Graph g = MakeDataset(DatasetId::kSkitter, DatasetScale::kTiny).graph;
+  Rng rng(SplitMix64(/*seed=*/11));
+  const std::vector<uint64_t> raw = rng.SampleDistinct(g.num_nodes(), 10);
+  const std::vector<NodeId> targets(raw.begin(), raw.end());
+  PegasusConfig config;
+  config.seed = 1;
+  config.num_threads = 4;
+  ExpectMatchesParallelGolden(*SummarizeGraphToRatio(g, targets, 0.3, config),
+                              kParallelGoldenSkitter);
+}
+
+// --- Cross-stdlib query goldens -------------------------------------------
 
 TEST(DeterminismTest, QueryAnswersMatchCrossStdlibGoldens) {
   const Graph g = ::pegasus::testing::QueryGoldenGraph();

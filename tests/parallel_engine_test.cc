@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
+#include "src/core/parallel_engine.h"
 #include "src/core/pegasus.h"
 #include "src/eval/error_eval.h"
 #include "src/graph/generators.h"
@@ -196,6 +199,57 @@ TEST(ParallelEngineTest, WorksFromExistingSummary) {
                                        std::move(first.summary), coarse);
   EXPECT_LE(cont.final_size_bits, 0.4 * g.SizeInBits() + 1e-9);
   EXPECT_LE(cont.summary.num_supernodes(), g.num_nodes());
+}
+
+// Bitwise equality of two plans, failure scores compared by bit pattern.
+void ExpectSamePlan(const GroupPlan& got, const GroupPlan& want) {
+  EXPECT_EQ(got.merges, want.merges);
+  EXPECT_EQ(got.evaluations, want.evaluations);
+  ASSERT_EQ(got.failures.size(), want.failures.size());
+  for (size_t i = 0; i < got.failures.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.failures[i]),
+              std::bit_cast<uint64_t>(want.failures[i]))
+        << "failure " << i;
+  }
+}
+
+TEST(ParallelEngineTest, ReusedPlannerMatchesFreshPlannerPerGroup) {
+  // A planner keeps its memoized views and scratch across groups, so the
+  // group start must invalidate every memoized view. Plan a large group,
+  // a small one, another large one and the first again on one planner;
+  // each plan must equal that of a fresh planner for the group alone.
+  const Graph g = TestGraph();
+  const SummaryGraph s = SummaryGraph::Identity(g);
+  const PersonalWeights w = PersonalWeights::Compute(g, {1, 2}, 1.25);
+  const CostModel cost(g, w, s);
+
+  std::vector<SupernodeId> large_a(64);
+  std::iota(large_a.begin(), large_a.end(), 0);  // hub-heavy low ids
+  const std::vector<SupernodeId> small = {150, 151, 152, 153};
+  std::vector<SupernodeId> large_b(48);
+  std::iota(large_b.begin(), large_b.end(), 300);
+  const std::vector<std::vector<SupernodeId>> sequence = {large_a, small,
+                                                          large_b, large_a};
+
+  uint64_t merges = 0;
+  for (double theta : {0.0, -0.2}) {
+    SCOPED_TRACE(theta);
+    GroupMergePlanner reused(g, s, cost, MergeScore::kRelative);
+    for (size_t i = 0; i < sequence.size(); ++i) {
+      SCOPED_TRACE(i);
+      const uint64_t seed = 1000 + sequence[i].front();
+      GroupMergePlanner fresh(g, s, cost, MergeScore::kRelative);
+      const GroupPlan want =
+          fresh.PlanGroup(sequence[i], theta, s.num_supernodes(), seed);
+      ExpectSamePlan(
+          reused.PlanGroup(sequence[i], theta, s.num_supernodes(), seed),
+          want);
+      merges += want.merges.size();
+    }
+  }
+  // Merges inside a group are what invalidate views mid-group; make sure
+  // the fixture exercises them.
+  EXPECT_GT(merges, 0u);
 }
 
 }  // namespace
