@@ -69,8 +69,7 @@ void RepairToBudget(const Graph& graph, const PersonalWeights& weights,
   std::vector<Scored> scored;
   for (SupernodeId a = 0; a < summary.id_bound(); ++a) {
     if (!summary.alive(a)) continue;
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       (void)w;
       if (b < a) continue;
       double damage = 0.0;

@@ -52,13 +52,7 @@ StatusOr<GrassResult> GrassSummarize(const Graph& graph,
   // Drop the identity superedges; GraSS maintains the partition only and
   // emits density superedges at the end.
   for (SupernodeId a : summary.ActiveSupernodes()) {
-    std::vector<SupernodeId> nb;
-    // lint: hash-order-ok(collects the full incident set for bulk erasure; the erased state is order-independent)
-    for (const auto& [c, w] : summary.superedges(a)) {
-      (void)w;
-      if (c >= a) nb.push_back(c);
-    }
-    for (SupernodeId c : nb) summary.EraseSuperedge(a, c);
+    summary.ClearSuperedgesOf(a);
   }
 
   // Uniform weights: CostModel aggregates then give exact pair/edge counts.

@@ -86,13 +86,7 @@ StatusOr<SaagsResult> SaagsSummarize(const Graph& graph,
   SaagsResult result{SummaryGraph::Identity(graph)};
   SummaryGraph& summary = result.summary;
   for (SupernodeId a : summary.ActiveSupernodes()) {
-    std::vector<SupernodeId> nb;
-    // lint: hash-order-ok(collects the full incident set for bulk erasure; the erased state is order-independent)
-    for (const auto& [c, w] : summary.superedges(a)) {
-      (void)w;
-      if (c >= a) nb.push_back(c);
-    }
-    for (SupernodeId c : nb) summary.EraseSuperedge(a, c);
+    summary.ClearSuperedgesOf(a);
   }
 
   const NodeId n = graph.num_nodes();

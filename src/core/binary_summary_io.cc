@@ -316,6 +316,11 @@ StatusOr<SummaryGraph> LoadSummaryBinary(const std::string& path) {
   for (uint32_t a = 0; a < s; ++a) {
     for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
       const uint32_t b = l.edge_dst[i];
+      // SummaryGraph stores weights >= 1 (0 marks an erased slot).
+      if (l.edge_weight[i] == 0) {
+        return Corrupt(path, "superedge {" + std::to_string(a) + ", " +
+                                 std::to_string(b) + "} has weight 0");
+      }
       if (b >= a) summary.SetSuperedge(a, b, l.edge_weight[i]);
     }
   }

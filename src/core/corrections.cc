@@ -30,8 +30,7 @@ EdgeCorrections ComputeCorrections(const Graph& graph,
   // superedge order; the lists are sorted below either way).
   for (SupernodeId a = 0; a < summary.id_bound(); ++a) {
     if (!summary.alive(a)) continue;
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       (void)w;
       if (b < a) continue;
       const auto& ma = summary.members(a);

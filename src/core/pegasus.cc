@@ -1,7 +1,9 @@
 #include "src/core/pegasus.h"
 
 #include <cmath>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "src/core/parallel_engine.h"
 #include "src/core/personal_weights.h"
@@ -121,9 +123,16 @@ StatusOr<SummarizationResult> SummarizeGraph(
                             SummaryGraph::Identity(graph), config);
 }
 
-StatusOr<SummarizationResult> SummarizeGraphFrom(
-    const Graph& graph, const std::vector<NodeId>& targets,
-    double budget_bits, SummaryGraph initial, const PegasusConfig& config) {
+namespace {
+
+// SummarizeGraphFrom on `pool` when non-null (parallel engine only), else
+// on an executor of config.num_threads workers owned by this call.
+StatusOr<SummarizationResult> Summarize(const Graph& graph,
+                                        const std::vector<NodeId>& targets,
+                                        double budget_bits,
+                                        SummaryGraph initial,
+                                        const PegasusConfig& config,
+                                        Executor* pool) {
   if (Status s = ValidateSummarizationInputs(graph, targets, budget_bits,
                                              config);
       !s) {
@@ -147,9 +156,10 @@ StatusOr<SummarizationResult> SummarizeGraphFrom(
   // single-core machine) so that "auto" results are machine-independent;
   // 1 (or a nonsensical negative) keeps the historical serial schedule.
   if (config.num_threads == 0 || config.num_threads > 1) {
-    Executor pool(config.num_threads);
+    std::optional<Executor> owned;
+    if (pool == nullptr) pool = &owned.emplace(config.num_threads);
     ParallelEngine engine(graph, summary, cost, config.merge_score,
-                          config.groups, pool);
+                          config.groups, *pool);
     DriveToBudget(graph, budget_bits, config, cost, summary, result,
                   [&](uint64_t round_seed, ThresholdPolicy& policy) {
                     engine.RunRound(round_seed, policy);
@@ -183,6 +193,22 @@ StatusOr<SummarizationResult> SummarizeGraphFrom(
   result.final_size_bits = summary.SizeInBits();
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;
+}
+
+}  // namespace
+
+StatusOr<SummarizationResult> SummarizeGraphFrom(
+    const Graph& graph, const std::vector<NodeId>& targets,
+    double budget_bits, SummaryGraph initial, const PegasusConfig& config) {
+  return Summarize(graph, targets, budget_bits, std::move(initial), config,
+                   /*pool=*/nullptr);
+}
+
+StatusOr<SummarizationResult> internal::SummarizeGraphOn(
+    Executor& pool, const Graph& graph, const std::vector<NodeId>& targets,
+    double budget_bits, const PegasusConfig& config) {
+  return Summarize(graph, targets, budget_bits, SummaryGraph::Identity(graph),
+                   config, &pool);
 }
 
 StatusOr<SummarizationResult> SummarizeGraphToRatio(

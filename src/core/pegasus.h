@@ -27,6 +27,8 @@
 
 namespace pegasus {
 
+class Executor;
+
 // Configuration of one summarization run. Defaults are the paper's
 // recommended settings (Sec. V-A).
 struct PegasusConfig {
@@ -116,6 +118,21 @@ struct SummarizationResult {
     const Graph& graph, const std::vector<NodeId>& targets,
     double budget_bits, SummaryGraph initial,
     const PegasusConfig& config = {});
+
+namespace internal {
+
+// SummarizeGraph for callers that run several summarizations on one
+// shared executor (src/shard builds every machine's summary concurrently).
+// The parallel engine (config.num_threads != 1) runs its rounds on `pool`,
+// nesting inside whatever task of `pool` calls this, instead of starting
+// an executor of its own; the serial engine ignores `pool`. The summary is
+// identical to SummarizeGraph's for the same config, because the parallel
+// engine's output does not depend on the worker count.
+[[nodiscard]] StatusOr<SummarizationResult> SummarizeGraphOn(
+    Executor& pool, const Graph& graph, const std::vector<NodeId>& targets,
+    double budget_bits, const PegasusConfig& config);
+
+}  // namespace internal
 
 }  // namespace pegasus
 

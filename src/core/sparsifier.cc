@@ -20,8 +20,7 @@ uint64_t SparsifyToBudget(const Graph& graph, CostModel& cost,
   const double superedge_bits =
       CostModel::SuperedgeBits(summary.num_supernodes());
   for (SupernodeId a : summary.ActiveSupernodes()) {
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       (void)w;
       if (b < a) continue;  // each unordered superedge once
       // Recover the pair aggregates: the stored weight is the real-edge

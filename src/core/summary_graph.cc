@@ -1,7 +1,9 @@
 #include "src/core/summary_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
 
 #include "src/graph/graph_builder.h"
 #include "src/util/bits.h"
@@ -14,16 +16,12 @@ SummaryGraph SummaryGraph::Identity(const Graph& graph) {
   s.supernode_of_.resize(n);
   s.members_.resize(n);
   s.alive_.assign(n, 1);
-  s.adjacency_.resize(n);
+  s.rows_.resize(n);
   s.num_active_ = n;
   for (NodeId u = 0; u < n; ++u) {
     s.supernode_of_[u] = u;
     s.members_[u] = {u};
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    auto nb = graph.neighbors(u);
-    s.adjacency_[u].reserve(nb.size());
-    for (NodeId v : nb) s.adjacency_[u].emplace(v, 1);
+    s.rows_[u].AssignUnitWeights(graph.neighbors(u));
   }
   s.num_superedges_ = graph.num_edges();
   return s;
@@ -46,7 +44,7 @@ SummaryGraph SummaryGraph::FromPartition(const Graph& graph,
   s.supernode_of_.resize(n);
   s.members_.resize(sorted.size());
   s.alive_.assign(sorted.size(), 1);
-  s.adjacency_.resize(sorted.size());
+  s.rows_.resize(sorted.size());
   s.num_active_ = static_cast<uint32_t>(sorted.size());
   for (NodeId u = 0; u < n; ++u) {
     SupernodeId a = dense(labels[u]);
@@ -70,18 +68,12 @@ SupernodeId SummaryGraph::MergeSupernodes(SupernodeId a, SupernodeId b) {
   SupernodeId winner = members_[a].size() >= members_[b].size() ? a : b;
   SupernodeId loser = winner == a ? b : a;
 
-  // Erase all superedges incident to either id (Alg. 2 line 8). Processing
+  // Erase all superedges incident to either id (Alg. 2 line 8). Clearing
   // the winner first also removes the {winner, loser} back-pointer from the
-  // loser's map, so that pair is decremented exactly once.
-  for (SupernodeId x : {winner, loser}) {
-    // lint: hash-order-ok(bulk erasure; the final adjacency state and the decrement count are order-independent)
-    for (const auto& [c, w] : adjacency_[x]) {
-      (void)w;
-      if (c != x) adjacency_[c].erase(x);
-      --num_superedges_;
-    }
-    adjacency_[x].clear();
-  }
+  // loser's row, so that pair is counted exactly once.
+  ClearSuperedgesOf(winner);
+  ClearSuperedgesOf(loser);
+  rows_[loser].Release();
 
   for (NodeId u : members_[loser]) supernode_of_[u] = winner;
   members_[winner].insert(members_[winner].end(), members_[loser].begin(),
@@ -93,66 +85,51 @@ SupernodeId SummaryGraph::MergeSupernodes(SupernodeId a, SupernodeId b) {
   return winner;
 }
 
-std::vector<SummaryGraph::CanonicalSuperedge> SummaryGraph::CanonicalSuperedges(
-    SupernodeId a) const {
-  std::vector<CanonicalSuperedge> out;
-  out.reserve(adjacency_[a].size());
-  // lint: hash-order-ok(this IS the canonicalization point; sorted immediately below)
-  for (const auto& [b, w] : adjacency_[a]) out.push_back({b, w});
-  std::sort(out.begin(), out.end(),
-            [](const CanonicalSuperedge& x, const CanonicalSuperedge& y) {
-              return x.neighbor < y.neighbor;
-            });
-  return out;
-}
-
 bool SummaryGraph::HasSuperedge(SupernodeId a, SupernodeId b) const {
-  return adjacency_[a].contains(b);
+  return rows_[a].Weight(b) != 0;
 }
 
 uint32_t SummaryGraph::SuperedgeWeight(SupernodeId a, SupernodeId b) const {
-  auto it = adjacency_[a].find(b);
-  return it == adjacency_[a].end() ? 0 : it->second;
+  return rows_[a].Weight(b);
 }
 
 void SummaryGraph::SetSuperedge(SupernodeId a, SupernodeId b,
                                 uint32_t weight) {
   assert(alive_[a] && alive_[b] && weight >= 1);
-  auto [it, inserted] = adjacency_[a].insert_or_assign(b, weight);
-  (void)it;
-  if (a != b) adjacency_[b].insert_or_assign(a, weight);
+  const bool inserted = rows_[a].Set(b, weight);
+  if (a != b) rows_[b].Set(a, weight);
   if (inserted) ++num_superedges_;
 }
 
 uint64_t SummaryGraph::ClearSuperedgesOf(SupernodeId a) {
-  const uint64_t removed = adjacency_[a].size();
-  // lint: hash-order-ok(bulk erasure of every incident superedge; result is order-independent)
-  for (const auto& [c, w] : adjacency_[a]) {
-    (void)w;
-    if (c != a) adjacency_[c].erase(a);
+  const uint64_t removed = rows_[a].size();
+  for (const Superedge& e : rows_[a].view()) {
+    if (e.neighbor != a) rows_[e.neighbor].Erase(a);
   }
-  adjacency_[a].clear();
+  rows_[a].Clear();
   num_superedges_ -= removed;
   return removed;
 }
 
 bool SummaryGraph::EraseSuperedge(SupernodeId a, SupernodeId b) {
-  if (adjacency_[a].erase(b) == 0) return false;
-  if (a != b) adjacency_[b].erase(a);
+  if (!rows_[a].Erase(b)) return false;
+  if (a != b) rows_[b].Erase(a);
   --num_superedges_;
   return true;
 }
 
 uint32_t SummaryGraph::MaxSuperedgeWeight() const {
   uint32_t best = 1;
-  for (SupernodeId a = 0; a < adjacency_.size(); ++a) {
-    // lint: hash-order-ok(max over uint32 weights is commutative; every enumeration order yields the same maximum)
-    for (const auto& [c, w] : adjacency_[a]) {
-      (void)c;
-      best = std::max(best, w);
-    }
+  for (const Row& row : rows_) {
+    for (const Superedge& e : row.view()) best = std::max(best, e.weight);
   }
   return best;
+}
+
+size_t SummaryGraph::SuperedgeStoreBytes() const {
+  size_t bytes = rows_.capacity() * sizeof(Row);
+  for (const Row& row : rows_) bytes += row.capacity_bytes();
+  return bytes;
 }
 
 double SummaryGraph::SizeInBits() const {
@@ -170,10 +147,9 @@ double SummaryGraph::SizeInBitsWeighted() const {
 
 Graph SummaryGraph::Reconstruct() const {
   GraphBuilder builder(num_nodes());
-  for (SupernodeId a = 0; a < adjacency_.size(); ++a) {
+  for (SupernodeId a = 0; a < rows_.size(); ++a) {
     if (!alive_[a]) continue;
-    // lint: hash-order-ok(GraphBuilder::Build sorts and dedups the edge set; insertion order never reaches the CSR)
-    for (const auto& [b, w] : adjacency_[a]) {
+    for (const auto& [b, w] : rows_[a].view()) {
       (void)w;
       if (b < a) continue;  // each unordered pair once
       if (a == b) {
@@ -191,6 +167,147 @@ Graph SummaryGraph::Reconstruct() const {
     }
   }
   return std::move(builder).Build();
+}
+
+// ---------------------------------------------------------------------------
+// SummaryGraph::Row
+
+namespace {
+
+using Superedge = SummaryGraph::Superedge;
+
+// Orders row entries, and entries against neighbor ids, by neighbor id.
+struct ByNeighbor {
+  bool operator()(const Superedge& e, SupernodeId b) const {
+    return e.neighbor < b;
+  }
+  bool operator()(const Superedge& x, const Superedge& y) const {
+    return x.neighbor < y.neighbor;
+  }
+};
+
+// Tail-run length that triggers Normalize(): about sqrt(head), so the
+// tail insert shift and the amortized merge cost are both O(sqrt d).
+uint32_t TailLimit(uint32_t head) {
+  return uint32_t{1} << (std::bit_width(head) / 2);
+}
+
+const Superedge* FindIn(const Superedge* begin, const Superedge* end,
+                        SupernodeId b) {
+  const Superedge* it = std::lower_bound(begin, end, b, ByNeighbor{});
+  return it != end && it->neighbor == b ? it : nullptr;
+}
+
+}  // namespace
+
+SummaryGraph::Row::Row(const Row& other) { *this = other; }
+
+SummaryGraph::Row& SummaryGraph::Row::operator=(const Row& other) {
+  if (this == &other) return *this;
+  // The copy is written as one clean run of exactly the live entries.
+  const uint32_t live = other.size();
+  slots_ = live == 0 ? nullptr
+                     : std::make_unique_for_overwrite<Superedge[]>(live);
+  std::copy(other.view().begin(), other.view().end(), slots_.get());
+  size_ = capacity_ = head_ = live;
+  dead_ = 0;
+  return *this;
+}
+
+void SummaryGraph::Row::Release() {
+  slots_.reset();
+  size_ = capacity_ = head_ = dead_ = 0;
+}
+
+void SummaryGraph::Row::AssignUnitWeights(std::span<const NodeId> neighbors) {
+  assert(capacity_ == 0);
+  const auto n = static_cast<uint32_t>(neighbors.size());
+  if (n == 0) return;
+  slots_ = std::make_unique_for_overwrite<Superedge[]>(n);
+  for (uint32_t i = 0; i < n; ++i) slots_[i] = {neighbors[i], 1};
+  assert(std::is_sorted(slots_.get(), slots_.get() + n, ByNeighbor{}));
+  size_ = capacity_ = head_ = n;
+}
+
+const SummaryGraph::Superedge* SummaryGraph::Row::Slot(SupernodeId b) const {
+  const Superedge* data = slots_.get();
+  const Superedge* hit = FindIn(data, data + head_, b);
+  return hit != nullptr ? hit : FindIn(data + head_, data + size_, b);
+}
+
+SummaryGraph::Superedge* SummaryGraph::Row::Slot(SupernodeId b) {
+  return const_cast<Superedge*>(std::as_const(*this).Slot(b));
+}
+
+uint32_t SummaryGraph::Row::Weight(SupernodeId b) const {
+  const Superedge* slot = Slot(b);
+  return slot == nullptr ? 0 : slot->weight;
+}
+
+void SummaryGraph::Row::Grow() {
+  const uint32_t capacity = std::max<uint32_t>(4, capacity_ * 2);
+  auto slots = std::make_unique_for_overwrite<Superedge[]>(capacity);
+  std::copy(slots_.get(), slots_.get() + size_, slots.get());
+  slots_ = std::move(slots);
+  capacity_ = capacity;
+}
+
+SummaryGraph::Superedge* SummaryGraph::Row::OpenSlot(uint32_t pos) {
+  if (size_ == capacity_) Grow();
+  Superedge* data = slots_.get();
+  std::copy_backward(data + pos, data + size_, data + size_ + 1);
+  ++size_;
+  return data + pos;
+}
+
+bool SummaryGraph::Row::Set(SupernodeId b, uint32_t weight) {
+  if (Superedge* slot = Slot(b)) {
+    const bool revived = slot->weight == 0;
+    if (revived) --dead_;
+    slot->weight = weight;
+    return revived;
+  }
+  // Short rows take a sorted insert into the head; hubs into the tail.
+  const uint32_t begin = head_ < kDirectRow ? 0 : head_;
+  const Superedge* data = slots_.get();
+  const auto pos = static_cast<uint32_t>(
+      std::lower_bound(data + begin, data + size_, b, ByNeighbor{}) - data);
+  *OpenSlot(pos) = {b, weight};
+  if (begin == 0) {
+    ++head_;
+  } else if (size_ - head_ > TailLimit(head_)) {
+    Normalize();
+  }
+  return true;
+}
+
+bool SummaryGraph::Row::Erase(SupernodeId b) {
+  Superedge* slot = Slot(b);
+  if (slot == nullptr || slot->weight == 0) return false;
+  Superedge* data = slots_.get();
+  const auto pos = static_cast<uint32_t>(slot - data);
+  if (pos >= head_ || head_ < kDirectRow) {
+    // Tail entries and short-row entries are removed by shifting.
+    std::copy(data + pos + 1, data + size_, data + pos);
+    --size_;
+    if (pos < head_) --head_;
+    return true;
+  }
+  slot->weight = 0;  // hub head: leave a tombstone
+  if (++dead_ * 2 > head_) Normalize();
+  return true;
+}
+
+void SummaryGraph::Row::Normalize() {
+  Superedge* data = slots_.get();
+  uint32_t live = 0;
+  for (uint32_t i = 0; i < head_; ++i) {
+    if (data[i].weight != 0) data[live++] = data[i];
+  }
+  Superedge* tail_end = std::copy(data + head_, data + size_, data + live);
+  std::inplace_merge(data, data + live, tail_end, ByNeighbor{});
+  size_ = head_ = static_cast<uint32_t>(tail_end - data);
+  dead_ = 0;
 }
 
 }  // namespace pegasus

@@ -30,14 +30,13 @@ Status SaveSummary(const SummaryGraph& summary, const std::string& path) {
     out << dense[summary.supernode_of(u)]
         << (u + 1 == summary.num_nodes() ? '\n' : ' ');
   }
-  // Superedges are emitted in sorted (a, b) order — CanonicalSuperedges
-  // already ascends in neighbor id, and dense[] is monotone in original
+  // Superedges are emitted in sorted (a, b) order — superedges() already
+  // ascends in neighbor id, and dense[] is monotone in original
   // id — so the same summary always serializes to the same bytes (and a
   // load/save round trip is byte-stable).
   for (SupernodeId a = 0; a < summary.id_bound(); ++a) {
     if (!summary.alive(a)) continue;
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       if (b < a) continue;  // each unordered pair once
       out << dense[a] << ' ' << dense[b] << ' ' << w << '\n';
     }

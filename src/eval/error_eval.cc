@@ -40,8 +40,7 @@ double PersonalizedError(const Graph& graph, const SummaryGraph& summary,
   double w_reconstructed = 0.0;
   for (SupernodeId a = 0; a < summary.id_bound(); ++a) {
     if (!summary.alive(a)) continue;
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       (void)w;
       if (b < a) continue;
       if (a == b) {

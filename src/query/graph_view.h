@@ -47,12 +47,11 @@ class SummaryNeighborhoodView {
 
   // Enumeration order is canonical (ascending neighbor supernode id, then
   // member order), so order-sensitive algorithms over the view — DFS
-  // preorder in particular — are fixed by the data, not the stdlib's
-  // hash-map layout.
+  // preorder in particular — are fixed by the data alone.
   template <typename Fn>
   void ForEachNeighbor(NodeId u, Fn&& fn) const {
     const SupernodeId a = summary_.supernode_of(u);
-    for (const auto& [b, w] : summary_.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary_.superedges(a)) {
       (void)w;
       for (NodeId v : summary_.members(b)) {
         if (v != u) fn(v);

@@ -5,14 +5,11 @@
 // state, so their wrappers run directly on the SummaryGraph's adjacency:
 // per-call view construction would turn O(deg)/O(|P|) integer queries
 // (DynamicSummary::ApproximateNeighbors, SummaryCluster::AnswerHop) into
-// density-precomputing O(|V| + |P|) calls for nothing. Their outputs are
-// provably enumeration-order-insensitive (sorted neighbor lists, BFS
-// levels), so per summary_graph.h's canonical-order rule they may — and
-// do — keep the plain hash-map walk. Either way, callers answering more
-// than one query should build a SummaryView (or use query_engine.h) and
-// query it directly. Results are byte-identical across the two paths
-// (pinned by tests/summary_view_test.cc) and across standard libraries
-// (pinned by the goldens in tests/determinism_test.cc).
+// density-precomputing O(|V| + |P|) calls for nothing. Either way,
+// callers answering more than one query should build a SummaryView (or
+// use query_engine.h) and query it directly. Results are byte-identical
+// across the two paths (pinned by tests/summary_view_test.cc) and across
+// standard libraries (pinned by the goldens in tests/determinism_test.cc).
 
 #include "src/query/summary_queries.h"
 
@@ -26,10 +23,6 @@ namespace pegasus {
 std::vector<NodeId> SummaryNeighbors(const SummaryGraph& summary, NodeId q) {
   const SupernodeId a = summary.supernode_of(q);
   std::vector<NodeId> out;
-  // Hash-map enumeration is safe here (summary_graph.h's canonical-order
-  // rule exempts order-insensitive reads): the result is sorted below, so
-  // every enumeration order yields the same bytes.
-  // lint: hash-order-ok(result vector is sorted before return)
   for (const auto& [b, w] : summary.superedges(a)) {
     (void)w;
     for (NodeId v : summary.members(b)) {
@@ -63,10 +56,7 @@ std::vector<uint32_t> FastSummaryHopDistances(const SummaryGraph& summary,
   std::vector<uint32_t> super_dist(bound, kUnreachable);
   const SupernodeId a0 = summary.supernode_of(q);
 
-  // BFS levels are identical for every neighbor enumeration order, so
-  // this stays on the O(|P|) hash-map walk — no per-supernode snapshot.
   std::vector<SupernodeId> queue;
-  // lint: hash-order-ok(BFS level assignment; dist values are identical for every neighbor enumeration order)
   for (const auto& [b, w] : summary.superedges(a0)) {
     (void)w;
     if (super_dist[b] == kUnreachable) {
@@ -76,7 +66,6 @@ std::vector<uint32_t> FastSummaryHopDistances(const SummaryGraph& summary,
   }
   for (size_t head = 0; head < queue.size(); ++head) {
     const SupernodeId a = queue[head];
-    // lint: hash-order-ok(BFS level assignment; dist values are identical for every neighbor enumeration order)
     for (const auto& [b, w] : summary.superedges(a)) {
       (void)w;
       if (super_dist[b] == kUnreachable) {

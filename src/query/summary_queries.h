@@ -19,12 +19,9 @@
 // state-heavy families (RWR, PHP, degrees, PageRank, clustering)
 // snapshot the summary into a SummaryView (summary_view.h) per call, so
 // their per-call cost includes an O(|V| + |P|) snapshot. The
-// neighborhood and hop families stay direct on the SummaryGraph (they
-// need none of the precomputed state); their outputs are provably
-// enumeration-order-insensitive — neighbor lists are sorted, BFS levels
-// don't depend on visit order — so they keep the O(deg)/O(|P|)
-// hash-map walk, which summary_graph.h's canonical-order rule permits
-// for order-insensitive reads. Query streams should construct one
+// neighborhood and hop families stay direct on the SummaryGraph's
+// canonical superedge rows (they need none of the precomputed state), at
+// O(deg)/O(|P|) per call. Query streams should construct one
 // SummaryView (or go through query_engine.h's AnswerBatch) and reuse
 // it; results are byte-identical either way, and byte-identical across
 // standard libraries (the cross-stdlib goldens in

@@ -90,8 +90,7 @@ SummaryView::SummaryView(const SummaryGraph& summary) {
     double deg_w = 0.0;
     double deg_uw = 0.0;
     uint64_t pos = edge_begin_[da];
-    // lint: hot-snapshot-ok(per-row snapshot: argument a changes each pass)
-    for (const auto& [b, w] : summary.CanonicalSuperedges(a)) {
+    for (const auto& [b, w] : summary.superedges(a)) {
       const double d = WeightedBlockDensity(summary, a, b, w);
       const double cnt = b == a
                              ? na - 1.0

@@ -3,9 +3,10 @@
 // The summary query processors (summary_queries.h) answer every request
 // from three per-supernode quantities: the member count |A|, the shared
 // member degree of A in Ĝ, and the block density of each superedge. The
-// mutable SummaryGraph stores superedges as per-supernode hash maps, so
-// answering straight off it would recompute all of that state on every
-// call and pay hash-map traversal inside every power-iteration sweep. A
+// mutable SummaryGraph stores only superedge weights, in per-supernode
+// rows built for mutation, so answering straight off it would recompute
+// all of that state on every call and inside every power-iteration
+// sweep. A
 // SummaryView is built once per (immutable) summary and amortizes that
 // work across an entire query stream:
 //
@@ -37,7 +38,7 @@
 //
 // Canonical-order contract: within a supernode's range
 // [edge_begin(a), edge_end(a)) edges are stored in ascending dense
-// neighbor id — the SummaryGraph::CanonicalSuperedges() order, and the
+// neighbor id — the SummaryGraph::superedges() order, and the
 // ONLY edge order in the view (pair lookups binary-search the CSR
 // directly; there is no side index). Every per-edge floating-point
 // summation in the query families therefore runs in an order fixed by

@@ -4,6 +4,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "src/partition/random_partition.h"
 #include "src/partition/social_hash.h"
 #include "src/query/summary_view.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
@@ -34,6 +36,68 @@ Status EnsureDir(const std::string& path) {
     return Status::Ok();
   }
   return Status::DataLoss("cannot create directory " + path);
+}
+
+// Summarizes every part of `partition` and hands machine i's summary to
+// sink(i, summary). With config.num_threads == 1 the machines run one
+// after another on the serial engine, in machine order, stopping at the
+// first error. Otherwise they run concurrently on ONE executor of
+// config.num_threads workers, and each machine's parallel engine nests
+// its rounds on that same executor (internal::SummarizeGraphOn): a
+// machine is one task, and the executor admits at most num_workers()
+// participants per job, so at most that many machines (and their
+// summaries) are in memory at once. Sinks run inside the machine's task,
+// so they must only write state indexed by i. Either way the summaries
+// are byte-identical — the parallel engine's output does not depend on
+// the worker count — and the error returned is the lowest-numbered
+// machine's: a summarizer error prefixed with the machine, or the sink's.
+Status ForEachShardSummary(
+    const Graph& graph, const Partition& partition, double budget_bits,
+    const PegasusConfig& config,
+    const std::function<Status(uint32_t, SummaryGraph)>& sink) {
+  if (partition.part_of.size() != graph.num_nodes()) {
+    return Status::InvalidArgument(
+        "partition covers " + std::to_string(partition.part_of.size()) +
+        " nodes, graph has " + std::to_string(graph.num_nodes()));
+  }
+  const auto parts = partition.Parts();
+  // Alg. 3 lines 1-4: machine i summarizes the WHOLE graph personalized
+  // to its own node set, with an independent seed stream. The seed
+  // schedule and the error prefix are load-bearing compatibility: the
+  // in-process SummaryCluster delegates here and its goldens pin both.
+  auto build = [&](uint32_t i, Executor* pool) -> Status {
+    PegasusConfig machine_config = config;
+    machine_config.seed = SplitMix64(config.seed + i + 1);
+    auto machine =
+        pool == nullptr
+            ? SummarizeGraph(graph, parts[i], budget_bits, machine_config)
+            : internal::SummarizeGraphOn(*pool, graph, parts[i], budget_bits,
+                                         machine_config);
+    if (!machine) {
+      return Status(machine.status().code(),
+                    "machine " + std::to_string(i) + ": " +
+                        machine.status().message());
+    }
+    return sink(i, std::move(*machine).summary);
+  };
+  const auto m = static_cast<uint32_t>(parts.size());
+  if (config.num_threads == 1) {
+    for (uint32_t i = 0; i < m; ++i) {
+      if (Status s = build(i, nullptr); !s) return s;
+    }
+    return Status::Ok();
+  }
+  Executor pool(config.num_threads);
+  std::vector<Status> status(m);
+  pool.ParallelFor(m, /*grain=*/1, [&](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      status[i] = build(static_cast<uint32_t>(i), &pool);
+    }
+  });
+  for (Status& s : status) {
+    if (!s) return std::move(s);
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -121,29 +185,15 @@ Partition RunPartitioner(const Graph& graph, uint32_t num_parts,
 StatusOr<std::vector<SummaryGraph>> BuildShardSummaries(
     const Graph& graph, const Partition& partition,
     double budget_bits_per_shard, const PegasusConfig& config) {
-  if (partition.part_of.size() != graph.num_nodes()) {
-    return Status::InvalidArgument(
-        "partition covers " + std::to_string(partition.part_of.size()) +
-        " nodes, graph has " + std::to_string(graph.num_nodes()));
-  }
-  const auto parts = partition.Parts();
-  std::vector<SummaryGraph> summaries;
-  summaries.reserve(parts.size());
-  for (uint32_t i = 0; i < parts.size(); ++i) {
-    // Alg. 3 lines 1-4: machine i summarizes the WHOLE graph personalized
-    // to its own node set, with an independent seed stream. The seed
-    // schedule and the error prefix are load-bearing compatibility: the
-    // in-process SummaryCluster delegates here and its goldens pin both.
-    PegasusConfig machine_config = config;
-    machine_config.seed = SplitMix64(config.seed + i + 1);
-    auto machine = SummarizeGraph(graph, parts[i], budget_bits_per_shard,
-                                  machine_config);
-    if (!machine) {
-      return Status(machine.status().code(),
-                    "machine " + std::to_string(i) + ": " +
-                        machine.status().message());
-    }
-    summaries.push_back(std::move(*machine).summary);
+  std::vector<SummaryGraph> summaries(partition.num_parts);
+  if (Status s = ForEachShardSummary(graph, partition, budget_bits_per_shard,
+                                     config,
+                                     [&](uint32_t i, SummaryGraph summary) {
+                                       summaries[i] = std::move(summary);
+                                       return Status::Ok();
+                                     });
+      !s) {
+    return s;
   }
   return summaries;
 }
@@ -183,11 +233,6 @@ StatusOr<ShardBuildResult> ShardBuild(const Graph& graph,
                             std::to_string(options.num_shards) +
                             "-way partition");
   }
-  const double budget_bits = options.ratio * graph.SizeInBits();
-  auto summaries = BuildShardSummaries(graph, result.partition, budget_bits,
-                                       options.config);
-  if (!summaries) return summaries.status();
-
   if (Status s = EnsureDir(out_dir); !s) return s;
   ShardManifest& manifest = result.manifest;
   manifest.num_shards = options.num_shards;
@@ -195,22 +240,32 @@ StatusOr<ShardBuildResult> ShardBuild(const Graph& graph,
   manifest.partitioner = PartitionerName(options.partitioner);
   manifest.node_shard = result.partition.part_of;
   manifest.shards.resize(options.num_shards);
-  result.shard_supernodes.reserve(options.num_shards);
+  result.shard_supernodes.resize(options.num_shards);
   PsbWriteOptions write_options;
   write_options.compact = options.compact;
-  for (uint32_t i = 0; i < options.num_shards; ++i) {
-    const SummaryGraph& summary = (*summaries)[i];
-    result.shard_supernodes.push_back(summary.num_supernodes());
+  // Each machine's summary is written (view, PSB image, checksum) inside
+  // its own build task and dropped there, so no more summaries are live
+  // than machines are building.
+  auto write_shard = [&](uint32_t i, SummaryGraph summary) -> Status {
+    result.shard_supernodes[i] = summary.num_supernodes();
     const std::string rel = ShardFileName(i);
     const std::string path = out_dir + "/" + rel;
-    SummaryView view(summary);
-    if (Status s = SaveSummaryBinary(view.layout(), path, write_options); !s) {
+    const SummaryView view(summary);
+    if (Status s = SaveSummaryBinary(view.layout(), path, write_options);
+        !s) {
       return Status(s.code(),
                     "shard " + std::to_string(i) + ": " + s.message());
     }
     auto checksum = ChecksumFile(path);
     if (!checksum) return checksum.status();
     manifest.shards[i] = ShardEntry{rel, *checksum};
+    return Status::Ok();
+  };
+  if (Status s = ForEachShardSummary(graph, result.partition,
+                                     options.ratio * graph.SizeInBits(),
+                                     options.config, write_shard);
+      !s) {
+    return s;
   }
   result.manifest_path = out_dir + "/" + kManifestFileName;
   if (Status s = SaveManifest(manifest, result.manifest_path); !s) return s;

@@ -61,9 +61,14 @@ Partition RunPartitioner(const Graph& graph, uint32_t num_parts,
 
 // Builds one summary of `graph` per part, personalized to that part's
 // nodes (machine i: targets = V_i, budget = budget_bits_per_shard, seed
-// = SplitMix64(config.seed + i + 1)). Errors: kInvalidArgument when the
-// partition does not cover the graph, plus whatever the summarizer
-// rejects, prefixed with the offending machine.
+// = SplitMix64(config.seed + i + 1)). config.num_threads == 1 builds the
+// machines one after another on the serial engine; any other value builds
+// them concurrently on one executor of that many workers, which each
+// machine's parallel engine shares, with at most that many machines in
+// flight. The summaries do not depend on the worker count. Errors:
+// kInvalidArgument when the partition does not cover the graph, plus
+// whatever the summarizer rejects, prefixed with the lowest-numbered
+// failing machine.
 [[nodiscard]] StatusOr<std::vector<SummaryGraph>> BuildShardSummaries(
     const Graph& graph, const Partition& partition,
     double budget_bits_per_shard, const PegasusConfig& config = {});
@@ -74,7 +79,9 @@ struct ShardBuildOptions {
   // Per-shard budget as a fraction of the input graph's bits (each shard
   // summarizes the whole graph, so the budget is per shard, not split).
   double ratio = 0.5;
-  PegasusConfig config;  // alpha/beta/seed/num_threads for every shard
+  // alpha/beta/seed for every shard; num_threads sizes the one executor
+  // all shards build on (1 = one shard at a time, serial engine).
+  PegasusConfig config;
   bool compact = false;  // varint/delta PSB sections (not mmap-servable)
 };
 

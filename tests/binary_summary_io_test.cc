@@ -287,6 +287,48 @@ TEST(BinarySummaryIoTest, RejectsSupernodeCountMismatch) {
   std::remove(path.c_str());
 }
 
+TEST(BinarySummaryIoTest, LoadRejectsZeroWeightSuperedge) {
+  // A symmetric, correctly counted superedge {0, 1} of weight 0: the
+  // checksums hold, but SummaryGraph only stores weights >= 1, so the
+  // loader must refuse it instead of building a summary from it.
+  const uint32_t node_to_super[2] = {0, 1};
+  const uint64_t member_begin[3] = {0, 1, 2};
+  const uint32_t members[2] = {0, 1};
+  const uint64_t edge_begin[3] = {0, 1, 2};
+  const uint32_t edge_dst[2] = {1, 0};
+  const uint32_t edge_weight[2] = {0, 0};
+  const double ones[2] = {1.0, 1.0};
+  const double zeros[2] = {0.0, 0.0};
+
+  SummaryLayout layout;
+  layout.num_nodes = 2;
+  layout.num_supernodes = 2;
+  layout.num_superedges = 1;
+  layout.num_edge_slots = 2;
+  layout.node_to_super = node_to_super;
+  layout.member_begin = member_begin;
+  layout.members = members;
+  layout.edge_begin = edge_begin;
+  layout.edge_dst = edge_dst;
+  layout.edge_weight = edge_weight;
+  layout.edge_density_w = zeros;
+  layout.edge_density_uw = ones;
+  layout.member_count = ones;
+  layout.member_deg_w = zeros;
+  layout.member_deg_uw = ones;
+  layout.self_density_w = zeros;
+  layout.self_density_uw = zeros;
+
+  const std::string path = TempPath("zero_weight.psb");
+  ASSERT_TRUE(SaveSummaryBinary(layout, path));
+  const auto loaded = LoadSummaryBinary(path);
+  ASSERT_FALSE(loaded.has_value());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("weight 0"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
 TEST(BinarySummaryIoTest, LoadRejectsMissingFile) {
   const auto s = LoadSummaryBinary("/no/such/file.psb");
   ASSERT_FALSE(s.has_value());

@@ -3,17 +3,21 @@
 // determinism of a rebuild, the 1-shard trivial layout, option
 // validation, and the delegation contract — SummaryCluster::Build and
 // shard::BuildShardSummaries are the same code path, so their summaries
-// agree machine by machine.
+// agree machine by machine. Shard bytes are also pinned across commits:
+// fixed Skitter* builds must reproduce checked-in manifest checksums at
+// every worker count, including fleets with more shards than workers.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/binary_summary_io.h"
 #include "src/distributed/cluster.h"
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/partition/random_partition.h"
 #include "src/shard/manifest.h"
@@ -187,6 +191,72 @@ TEST(ShardBuildTest, MachineErrorsNameTheMachine) {
   ASSERT_FALSE(summaries);
   EXPECT_NE(summaries.status().message().find("machine 0"),
             std::string::npos);
+}
+
+// Pinned manifest checksums of Skitter* tiny split by louvain at ratio 0.5
+// (seed 7): one FNV-1a 64 per shard PSB, in shard order. The serial
+// engine (num_threads = 1) and the parallel engine (every other setting)
+// build different, equally valid summaries, so each has its own pin. They
+// were captured while shards were still built one at a time with the
+// hash-map superedge store, so they pin that concurrent builds and the
+// row store changed no byte.
+const std::vector<uint64_t> kSerialChecksums4 = {
+    0x11875311768333feULL, 0xde4bfd94c2126459ULL, 0xad9b282937824bfbULL,
+    0xfbfdecb41402ab84ULL};
+const std::vector<uint64_t> kParallelChecksums4 = {
+    0x4bb35f51693ef994ULL, 0x961a835ea0db8a85ULL, 0x236a6cec66a54e1aULL,
+    0x4b8cfe918e7ad9bcULL};
+const std::vector<uint64_t> kParallelChecksums8 = {
+    0x389ff9dd1865860eULL, 0x8fbf6cb3023a6cd9ULL, 0x3e1b9be9e42222a1ULL,
+    0x617afe66edf9e16eULL, 0x9d3d5a15706bdb0eULL, 0x799a56dd5ccc601cULL,
+    0x9df27cbe8e22db44ULL, 0x2e396c96d2ea97fdULL};
+
+std::vector<uint64_t> SkitterChecksums(uint32_t shards, int num_threads,
+                                       const std::string& dir) {
+  const Graph graph =
+      MakeDataset(DatasetId::kSkitter, DatasetScale::kTiny).graph;
+  ShardBuildOptions options;
+  options.num_shards = shards;
+  options.partitioner = PartitionerKind::kLouvain;
+  options.ratio = 0.5;
+  options.config.seed = 7;
+  options.config.num_threads = num_threads;
+  auto result = ShardBuild(graph, TempDirFor(dir), options);
+  EXPECT_TRUE(result) << result.status().ToString();
+  std::vector<uint64_t> checksums;
+  if (!result) return checksums;
+  for (const ShardEntry& entry : result->manifest.shards) {
+    checksums.push_back(entry.checksum);
+  }
+  return checksums;
+}
+
+std::string Hex(const std::vector<uint64_t>& checksums) {
+  std::ostringstream out;
+  out << std::hex;
+  for (uint64_t c : checksums) out << "0x" << c << "ULL, ";
+  return out.str();
+}
+
+TEST(ShardBuildTest, SerialBuildMatchesPinnedChecksums) {
+  const auto actual = SkitterChecksums(4, 1, "shard_pin_serial");
+  EXPECT_EQ(actual, kSerialChecksums4) << "actual {" << Hex(actual) << "}";
+}
+
+TEST(ShardBuildTest, ParallelBuildMatchesPinnedChecksumsAtAnyWorkerCount) {
+  for (int threads : {0, 2, 8}) {
+    const auto actual = SkitterChecksums(
+        4, threads, "shard_pin_parallel_" + std::to_string(threads));
+    EXPECT_EQ(actual, kParallelChecksums4)
+        << threads << " threads: actual {" << Hex(actual) << "}";
+  }
+}
+
+TEST(ShardBuildTest, MoreShardsThanWorkersMatchesPinnedChecksums) {
+  // 8 shards on a 2-worker pool: shards queue for the pool's workers
+  // instead of all building at once, and the bytes must not notice.
+  const auto actual = SkitterChecksums(8, 2, "shard_pin_queued");
+  EXPECT_EQ(actual, kParallelChecksums8) << "actual {" << Hex(actual) << "}";
 }
 
 }  // namespace

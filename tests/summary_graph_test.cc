@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "src/core/summary_graph.h"
+#include "src/graph/datasets.h"
+#include "src/graph/graph_builder.h"
 #include "src/util/bits.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -148,6 +154,156 @@ TEST(SummaryGraphTest, RepeatedMergesCollapseToOne) {
   EXPECT_EQ(s.num_supernodes(), 1u);
   EXPECT_EQ(s.members(active[0]).size(), 6u);
   EXPECT_DOUBLE_EQ(s.SizeInBits(), 0.0);  // log2(1) = 0
+}
+
+// Reference model of the superedge store: the unordered pairs in a
+// std::map, plus the member counts that drive the merge winner rule.
+struct StoreModel {
+  std::map<std::pair<SupernodeId, SupernodeId>, uint32_t> pairs;
+  std::vector<size_t> members;  // 0 = retired
+  uint32_t num_alive = 0;
+
+  static std::pair<SupernodeId, SupernodeId> Key(SupernodeId a,
+                                                 SupernodeId b) {
+    return {std::min(a, b), std::max(a, b)};
+  }
+  uint32_t Weight(SupernodeId a, SupernodeId b) const {
+    auto it = pairs.find(Key(a, b));
+    return it == pairs.end() ? 0 : it->second;
+  }
+  uint64_t Clear(SupernodeId a) {
+    return std::erase_if(pairs, [a](const auto& p) {
+      return p.first.first == a || p.first.second == a;
+    });
+  }
+  SupernodeId Merge(SupernodeId a, SupernodeId b) {
+    const SupernodeId winner = members[a] >= members[b] ? a : b;
+    const SupernodeId loser = winner == a ? b : a;
+    Clear(a);
+    Clear(b);
+    members[winner] += members[loser];
+    members[loser] = 0;
+    --num_alive;
+    return winner;
+  }
+  // Every row as the store must enumerate it: ascending neighbor id.
+  std::vector<std::vector<SummaryGraph::Superedge>> Rows() const {
+    std::vector<std::vector<SummaryGraph::Superedge>> rows(members.size());
+    for (const auto& [key, w] : pairs) {
+      rows[key.first].push_back({key.second, w});
+      if (key.first != key.second) rows[key.second].push_back({key.first, w});
+    }
+    for (auto& row : rows) {
+      std::sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
+        return x.neighbor < y.neighbor;
+      });
+    }
+    return rows;
+  }
+};
+
+void ExpectStoreMatchesModel(const SummaryGraph& s, const StoreModel& model,
+                             uint64_t seed, int step) {
+  ASSERT_EQ(s.num_superedges(), model.pairs.size())
+      << "seed " << seed << " step " << step;
+  ASSERT_EQ(s.num_supernodes(), model.num_alive);
+  const double bits = Log2Bits(model.num_alive);
+  EXPECT_DOUBLE_EQ(s.SizeInBits(),
+                   2.0 * static_cast<double>(model.pairs.size()) * bits +
+                       static_cast<double>(s.num_nodes()) * bits);
+  const auto rows = model.Rows();
+  for (SupernodeId a = 0; a < s.id_bound(); ++a) {
+    const auto& expected = rows[a];
+    const auto view = s.superedges(a);
+    ASSERT_EQ(view.size(), expected.size())
+        << "seed " << seed << " step " << step << " row " << a;
+    ASSERT_TRUE(std::equal(view.begin(), view.end(), expected.begin()))
+        << "seed " << seed << " step " << step << " row " << a;
+  }
+}
+
+TEST(SummaryGraphTest, StoreMatchesReferenceModelUnderRandomMutation) {
+  // Node 0 is a hub: a star over 2,500 leaves plus random edges, so its
+  // row runs the hub path (tombstones, tail run, merges) the whole time;
+  // every other row stays short. Node 0 is never merged or cleared until
+  // the final phase.
+  constexpr NodeId kNodes = 3000;
+  constexpr NodeId kHubLeaves = 2500;
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    GraphBuilder builder(kNodes);
+    for (NodeId v = 1; v <= kHubLeaves; ++v) builder.AddEdge(0, v);
+    for (int e = 0; e < 6000; ++e) {
+      builder.AddEdge(1 + static_cast<NodeId>(rng.Uniform(kNodes - 1)),
+                      1 + static_cast<NodeId>(rng.Uniform(kNodes - 1)));
+    }
+    const Graph graph = std::move(builder).Build();
+    SummaryGraph s = SummaryGraph::Identity(graph);
+    StoreModel model;
+    model.members.assign(kNodes, 1);
+    model.num_alive = kNodes;
+    for (const Edge& e : graph.CanonicalEdges()) model.pairs[{e.u, e.v}] = 1;
+    ASSERT_GE(s.superedges(0).size(), 2000u);
+    ExpectStoreMatchesModel(s, model, seed, -1);
+
+    std::vector<SupernodeId> alive(kNodes - 1);
+    for (NodeId u = 1; u < kNodes; ++u) alive[u - 1] = u;
+    auto any_alive = [&] {
+      return rng.Bernoulli(0.4) ? SupernodeId{0}
+                                : alive[rng.Uniform(alive.size())];
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const SupernodeId a = any_alive();
+      const SupernodeId b = any_alive();
+      const uint64_t op = rng.Uniform(100);
+      if (op < 45) {
+        const auto w = static_cast<uint32_t>(1 + rng.Uniform(9));
+        s.SetSuperedge(a, b, w);
+        model.pairs[StoreModel::Key(a, b)] = w;
+      } else if (op < 90) {
+        EXPECT_EQ(s.EraseSuperedge(a, b),
+                  model.pairs.erase(StoreModel::Key(a, b)) == 1);
+      } else if (op < 95 && a != 0) {
+        EXPECT_EQ(s.ClearSuperedgesOf(a), model.Clear(a));
+      } else if (a != b && a != 0 && b != 0 && alive.size() > 2) {
+        const SupernodeId winner = s.MergeSupernodes(a, b);
+        ASSERT_EQ(winner, model.Merge(a, b));
+        const SupernodeId loser = winner == a ? b : a;
+        alive.erase(std::find(alive.begin(), alive.end(), loser));
+      }
+      EXPECT_EQ(s.SuperedgeWeight(a, b), model.Weight(a, b));
+      EXPECT_EQ(s.HasSuperedge(b, a), model.Weight(a, b) != 0);
+      if (step % 997 == 0) ExpectStoreMatchesModel(s, model, seed, step);
+    }
+    ASSERT_GE(s.superedges(0).size(), 1000u);
+    ExpectStoreMatchesModel(s, model, seed, 20000);
+    // Shrink the hub by erasures alone, so tombstones pile up until they
+    // trigger compaction, and the row drops back below the hub threshold.
+    std::vector<SupernodeId> hub_neighbors;
+    for (const auto& [c, w] : s.superedges(0)) hub_neighbors.push_back(c);
+    rng.Shuffle(hub_neighbors);
+    for (size_t i = 0; i + 40 < hub_neighbors.size(); ++i) {
+      EXPECT_TRUE(s.EraseSuperedge(hub_neighbors[i], 0));
+      model.pairs.erase(StoreModel::Key(0, hub_neighbors[i]));
+      if (i % 401 == 0) ExpectStoreMatchesModel(s, model, seed, 20000);
+    }
+    ExpectStoreMatchesModel(s, model, seed, 20000);
+    // Bulk erasure of the hub row itself.
+    EXPECT_EQ(s.ClearSuperedgesOf(0), model.Clear(0));
+    ExpectStoreMatchesModel(s, model, seed, 20001);
+    // Copies enumerate identically.
+    const SummaryGraph copy = s;
+    ExpectStoreMatchesModel(copy, model, seed, 20002);
+  }
+}
+
+TEST(SummaryGraphTest, IdentityStoreIsCompact) {
+  // 8 bytes per directed entry plus one 24-byte row header per supernode:
+  // ~10 B per entry at Skitter*'s mean degree (a hash map row costs ~45).
+  const Graph g = MakeDataset(DatasetId::kSkitter, DatasetScale::kTiny).graph;
+  const SummaryGraph s = SummaryGraph::Identity(g);
+  const double entries = 2.0 * static_cast<double>(g.num_edges());
+  EXPECT_LE(static_cast<double>(s.SuperedgeStoreBytes()) / entries, 12.0);
 }
 
 }  // namespace
