@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "src/util/parallel.h"
+
 namespace pegasus {
 
 const char* QueryKindName(QueryKind kind) {
@@ -182,10 +184,5 @@ QueryResult AnswerQuery(const SummaryView& view, const QueryRequest& request,
 int QueryWorkerCount(int num_threads) {
   return std::min(ResolveThreadCount(num_threads), ResolveThreadCount(0));
 }
-
-// The AnswerBatch compatibility shims are defined in
-// src/serve/query_service.cc: they delegate to the serving executor, and
-// keeping the definitions there keeps the dependency arrow pointing
-// serve -> query only.
 
 }  // namespace pegasus

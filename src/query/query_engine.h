@@ -4,8 +4,8 @@
 // node-level families, and optional parameters. The resident serving
 // layer is QueryService (src/serve/query_service.h), which owns the
 // thread pool, the epoch-swapped SummaryView, and the global-result
-// cache; the AnswerBatch overloads here are thin compatibility shims
-// over the same executor for callers that already hold a view.
+// cache, and answers batches; AnswerQuery here answers one request on
+// the calling thread.
 //
 // Error model: requests are validated and canonicalized through
 // CanonicalizeRequest, which returns a typed Status instead of the
@@ -15,11 +15,9 @@
 // are all rejected. `param == kQueryParamUseDefault` is the one sanctioned
 // way to ask for a family's default.
 //
-// Determinism: batched answers are written to index-addressed slots, so
-// the output vector is byte-identical for every thread count (including
-// 1), for every scheduling of workers, and for every cheap-family grain;
-// each individual answer is byte-identical to the corresponding
-// single-query call on the same view.
+// Determinism: AnswerQuery's output is a function of the view and the
+// canonical request alone; QueryService batches are byte-identical to
+// one AnswerQuery call per request, for every thread count.
 
 #ifndef PEGASUS_QUERY_QUERY_ENGINE_H_
 #define PEGASUS_QUERY_QUERY_ENGINE_H_
@@ -30,7 +28,6 @@
 #include <vector>
 
 #include "src/query/summary_view.h"
-#include "src/util/parallel.h"
 #include "src/util/status.h"
 
 namespace pegasus {
@@ -136,23 +133,6 @@ int QueryWorkerCount(int num_threads);
 // calls.
 QueryResult AnswerQuery(const SummaryView& view, const QueryRequest& request,
                         KernelScratch* scratch = nullptr);
-
-// Compatibility shims over the QueryService executor: canonicalize every
-// request, then answer the batch on `pool` with the service's cost-aware
-// scheduling and per-call global-result deduplication. results[i]
-// corresponds to requests[i]; output is independent of the pool's worker
-// count. Fails with the first request's canonicalization error (message
-// names the request index). Resident callers should hold a QueryService
-// instead — it keeps the pool and the cache alive across batches.
-[[nodiscard]] StatusOr<std::vector<QueryResult>> AnswerBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    Executor& pool);
-
-// Convenience overload owning a pool of QueryWorkerCount(num_threads)
-// workers for the call.
-[[nodiscard]] StatusOr<std::vector<QueryResult>> AnswerBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    int num_threads = 0);
 
 }  // namespace pegasus
 

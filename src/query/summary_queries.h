@@ -22,8 +22,8 @@
 // neighborhood and hop families stay direct on the SummaryGraph's
 // canonical superedge rows (they need none of the precomputed state), at
 // O(deg)/O(|P|) per call. Query streams should construct one
-// SummaryView (or go through query_engine.h's AnswerBatch) and reuse
-// it; results are byte-identical either way, and byte-identical across
+// SummaryView (or serve through a QueryService) and reuse it; results
+// are byte-identical either way, and byte-identical across
 // standard libraries (the cross-stdlib goldens in
 // tests/determinism_test.cc).
 

@@ -246,8 +246,8 @@ std::vector<double> SummaryPageRank(const SummaryView& view,
 // The pre-KernelPlan formulations, kept verbatim: the fallback when a
 // plan gate fails (see KernelPlan::GatherOk / SegmentedOk), the oracle
 // the fused kernels are byte-compared against in tests, and the
-// yardstick bench_workload_replay's kernel-speedup gate measures
-// against. Same bytes as the fused kernels, always.
+// yardstick bench_kernel_gate's speedup gate measures against. Same
+// bytes as the fused kernels, always.
 
 std::vector<double> SummaryRwrScoresReference(
     const SummaryView& view, NodeId q, double restart_prob = 0.05,

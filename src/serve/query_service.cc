@@ -127,14 +127,23 @@ StatusOr<std::vector<QueryRequest>> CanonicalizeBatch(
   return canonical;
 }
 
+namespace {
+
+// The batch executor behind QueryService::Answer. `requests` must be
+// canonical. Global queries are resolved through `cache` under `epoch`;
+// node-level queries fan out over `pool` in cost-aware units (see
+// query_service.h). Iterative kernels draw working memory from
+// `scratch` — one lease per executor unit, so steady-state serving
+// allocates nothing per query. Deterministic: results are written to
+// index-addressed slots, so the output is byte-identical for every
+// worker count.
 std::vector<QueryResult> RunCanonicalBatch(
     const SummaryView& view, const std::vector<QueryRequest>& requests,
     Executor& pool, GlobalResultCache& cache, uint64_t epoch,
-    size_t cheap_grain, KernelScratchPool& scratch) {
+    KernelScratchPool& scratch) {
   const size_t n = requests.size();
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
-  if (cheap_grain == 0) cheap_grain = 1;
 
   // Phase 1 — classify, and resolve whole-graph queries through the
   // cache. Distinct keys are collected in first-appearance order and
@@ -190,13 +199,14 @@ std::vector<QueryResult> RunCanonicalBatch(
   };
 
   // Phase 2 — cost-aware fan-out. Cheap O(deg)-per-answer work
-  // (neighbors, cached-global copy-outs) is chunked up to cheap_grain
-  // requests per unit so dispatch amortizes; everything else (iterative
-  // families, hop BFS) is one request per unit. Homogeneous batches are
+  // (neighbors, cached-global copy-outs) is chunked up to
+  // kDefaultCheapGrain requests per unit so dispatch amortizes;
+  // everything else (iterative families, hop BFS) is one request per
+  // unit. Homogeneous batches are
   // the common serving case, and for them ParallelFor's own chunking IS
   // the unit structure — no index indirection needed.
   if (num_cheap == n || num_cheap == 0) {
-    pool.ParallelFor(n, num_cheap == n ? cheap_grain : 1,
+    pool.ParallelFor(n, num_cheap == n ? kDefaultCheapGrain : 1,
                      [&](int /*worker*/, size_t begin, size_t end) {
                        const KernelScratchPool::Lease lease = scratch.Acquire();
                        for (size_t i = begin; i < end; ++i) {
@@ -207,9 +217,10 @@ std::vector<QueryResult> RunCanonicalBatch(
   }
 
   // Mixed batch: units are contiguous request-index ranges
-  // [unit_begin[u], unit_begin[u + 1]) — cheap runs close at cheap_grain
-  // requests or at the next expensive request, expensive requests are
-  // singleton units — fanned out one unit per index.
+  // [unit_begin[u], unit_begin[u + 1]) — cheap runs close at
+  // kDefaultCheapGrain requests or at the next expensive request,
+  // expensive requests are singleton units — fanned out one unit per
+  // index.
   std::vector<size_t> unit_begin{0};
   size_t cheap_run = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -221,7 +232,7 @@ std::vector<QueryResult> RunCanonicalBatch(
       cheap_run = 0;
     }
     if (cheap) {
-      if (++cheap_run == cheap_grain) {
+      if (++cheap_run == kDefaultCheapGrain) {
         unit_begin.push_back(i + 1);
         cheap_run = 0;
       }
@@ -244,6 +255,8 @@ std::vector<QueryResult> RunCanonicalBatch(
   return results;
 }
 
+}  // namespace
+
 StatusOr<std::shared_ptr<const SummaryView>> LoadServingView(
     const std::string& path) {
   if (SniffPsbMagic(path)) {
@@ -257,31 +270,6 @@ StatusOr<std::shared_ptr<const SummaryView>> LoadServingView(
 }
 
 }  // namespace serve
-
-// Compatibility shims (declared in src/query/query_engine.h; defined
-// here so the query layer does not depend back on serve).
-StatusOr<std::vector<QueryResult>> AnswerBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    Executor& pool) {
-  auto canonical = serve::CanonicalizeBatch(requests, view.num_nodes());
-  if (!canonical) return canonical.status();
-  // A transient cache still dedupes global queries within this batch; a
-  // QueryService keeps one alive across batches. Unbounded: it lives for
-  // one batch, whose distinct parameterizations bound it already.
-  serve::GlobalResultCache cache(/*capacity=*/0);
-  KernelScratchPool scratch;
-  return serve::RunCanonicalBatch(view, *canonical, pool, cache,
-                                  /*epoch=*/0, serve::kDefaultCheapGrain,
-                                  scratch);
-}
-
-StatusOr<std::vector<QueryResult>> AnswerBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    int num_threads) {
-  // Callers that really want oversubscription can pass their own pool.
-  Executor pool(QueryWorkerCount(num_threads));
-  return AnswerBatch(view, requests, pool);
-}
 
 QueryService::QueryService(Options options)
     : options_(options),
@@ -347,8 +335,8 @@ StatusOr<QueryService::BatchResult> QueryService::Answer(
   // Executor submission, and every batch answers against the snapshot it
   // captured above, so a Publish landing mid-flight never mixes epochs
   // within a batch. The in-flight counters make the overlap observable
-  // (serving_stats, the serve `stats` directive, and the concurrent
-  // serving bench).
+  // (serving_stats, the serve `stats` directive, and perfbench's
+  // serve.inflight_max).
   total_batches_.fetch_add(1, std::memory_order_relaxed);
   const int inflight = inflight_batches_.fetch_add(1,
                                                    std::memory_order_relaxed) +
@@ -359,8 +347,7 @@ StatusOr<QueryService::BatchResult> QueryService::Answer(
              high, inflight, std::memory_order_relaxed)) {
   }
   out.results = serve::RunCanonicalBatch(*snap.view, *canonical, pool_,
-                                         cache_, snap.epoch,
-                                         options_.cheap_grain, scratch_pool_);
+                                         cache_, snap.epoch, scratch_pool_);
   inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
   return out;
 }

@@ -27,16 +27,16 @@
 //
 // Cost-aware scheduling: the batch executor fans requests over the pool
 // in *units*. Cheap O(deg)-per-answer work — neighbors queries and
-// copy-outs of cached global results — is chunked `cheap_grain` requests
-// per unit so dispatch overhead amortizes across many requests; iterative
-// families (rwr/php/pagerank) and hop BFS stay at one request per unit so
-// a single expensive query never serializes a chunk of cheap ones behind
-// it.
+// copy-outs of cached global results — is chunked kDefaultCheapGrain
+// requests per unit so dispatch overhead amortizes across many requests;
+// iterative families (rwr/php/pagerank) and hop BFS stay at one request
+// per unit so a single expensive query never serializes a chunk of cheap
+// ones behind it.
 //
 // Determinism contract (pinned by tests/query_service_test.cc): answers
-// are byte-identical for every thread count, every cheap_grain, and
-// across Publish() swaps — a batch served from epoch E returns exactly
-// the bytes a single-threaded run against epoch E's view returns.
+// are byte-identical for every thread count and across Publish() swaps —
+// a batch served from epoch E returns exactly the bytes a
+// single-threaded run against epoch E's view returns.
 //
 // Thread-safety: all public methods may be called concurrently from any
 // thread. Concurrent Answer() calls overlap: each batch is an independent
@@ -69,10 +69,9 @@ class DynamicSummary;
 
 namespace serve {
 
-// Default requests-per-unit for cheap families (see cost-aware
-// scheduling above). Chosen by bench_query_service's grain sweep: large
-// enough to amortize dispatch, small enough to keep all workers busy on
-// modest batches.
+// Requests per unit for cheap families (see cost-aware scheduling
+// above): large enough to amortize dispatch, small enough to keep all
+// workers busy on modest batches.
 inline constexpr size_t kDefaultCheapGrain = 16;
 
 // Default bound on live global-result cache entries. Distinct legitimate
@@ -150,20 +149,6 @@ class GlobalResultCache {
 [[nodiscard]] StatusOr<std::vector<QueryRequest>> CanonicalizeBatch(
     const std::vector<QueryRequest>& requests, NodeId num_nodes);
 
-// The batch executor shared by QueryService::Answer and the AnswerBatch
-// compatibility shims. `requests` must be canonical. Global queries are
-// resolved through `cache` under `epoch`; node-level queries fan out over
-// `pool` in cost-aware units (see above). Iterative kernels draw working
-// memory from `scratch` — one lease per executor unit, so steady-state
-// serving allocates nothing per query (QueryService keeps one pool for
-// its lifetime; the shims use a transient one). Deterministic: results
-// are written to index-addressed slots, so the output is byte-identical
-// for every worker count and every cheap_grain.
-std::vector<QueryResult> RunCanonicalBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    Executor& pool, GlobalResultCache& cache, uint64_t epoch,
-    size_t cheap_grain, KernelScratchPool& scratch);
-
 // Loads a summary file into a servable view, dispatching on the file's
 // magic bytes: a PSB1 file (docs/FORMAT.md) is arena-mapped and the view
 // aliases the mapping — zero parse, restart cost independent of summary
@@ -182,8 +167,6 @@ class QueryService {
     // Pool size, ResolveThreadCount convention clamped to the hardware
     // (QueryWorkerCount): 0 = all cores, 1 = serial.
     int num_threads = 0;
-    // Requests per unit for cheap families; 0 behaves as 1.
-    size_t cheap_grain = serve::kDefaultCheapGrain;
     // Bound on live global-result cache entries (LRU eviction); 0 means
     // unbounded. Evictions are reported in cache_stats().
     size_t cache_capacity = serve::kDefaultCacheCapacity;

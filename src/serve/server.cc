@@ -188,10 +188,11 @@ Status Server::Dispatch(const Frame& frame, Connection& conn,
   return Status::InvalidArgument(buf);
 }
 
-// Counts a batch against the per-connection and server-wide in-flight
-// caps. Admission happens in the constructor; ok() is false when a cap
-// (or the oversized-batch bound) rejected it, with the counters already
-// rolled back. Destruction releases whatever was admitted.
+// Counts a batch against the server-wide in-flight cap and the
+// connection's in-flight count. Admission happens in the constructor;
+// ok() is false when the cap (or the oversized-batch bound) rejected it,
+// with the counters already rolled back. Destruction releases whatever
+// was admitted.
 class Server::BatchTicket {
  public:
   BatchTicket(Server& server, Connection& conn, size_t request_count)
@@ -204,22 +205,10 @@ class Server::BatchTicket {
           std::to_string(server_.options_.max_batch_requests));
       return;
     }
-    const int conn_inflight =
-        conn_.inflight.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (conn_inflight > server_.options_.max_inflight_per_connection) {
-      conn_.inflight.fetch_sub(1, std::memory_order_relaxed);
-      server_.rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      status_ = Status::FailedPrecondition(
-          "connection overloaded: in-flight batch cap " +
-          std::to_string(server_.options_.max_inflight_per_connection) +
-          " reached; retry after the pending batches drain");
-      return;
-    }
     const int total =
         server_.inflight_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (total > server_.options_.max_inflight_total) {
       server_.inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-      conn_.inflight.fetch_sub(1, std::memory_order_relaxed);
       server_.rejected_overload_.fetch_add(1, std::memory_order_relaxed);
       status_ = Status::FailedPrecondition(
           "server overloaded: in-flight batch cap " +
@@ -227,6 +216,7 @@ class Server::BatchTicket {
           " reached; retry after the pending batches drain");
       return;
     }
+    conn_.inflight.fetch_add(1, std::memory_order_relaxed);
     admitted_ = true;
   }
 

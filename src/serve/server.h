@@ -51,15 +51,13 @@ class Server {
     // Admission control happens before a batch touches the QueryService:
     // a batch with more requests than max_batch_requests is rejected
     // outright (kInvalidArgument), and a batch that would push the
-    // connection's or the server's in-flight count past its cap is
-    // rejected with kFailedPrecondition and the word "overloaded" so
-    // clients can tell retryable pushback from malformed input. Today a
-    // connection handles frames serially, so its in-flight count never
-    // exceeds one; the per-connection cap still gates admission (0
-    // disables batches on a connection) and becomes load-bearing the day
-    // frames pipeline. Rejections are counted in stats().
+    // server's in-flight count past max_inflight_total is rejected with
+    // kFailedPrecondition and the word "overloaded" so clients can tell
+    // retryable pushback from malformed input. A connection handles its
+    // frames one at a time, so the server-wide cap is the only in-flight
+    // limit; each connection's in-flight count (0 or 1) is reported by
+    // the `stats` directive. Rejections are counted in stats().
     size_t max_batch_requests = 1 << 16;
-    int max_inflight_per_connection = 32;
     int max_inflight_total = 256;
   };
 

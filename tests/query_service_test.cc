@@ -5,9 +5,9 @@
 //     batch is served entirely from one epoch's view even while Publish
 //     swaps epochs concurrently;
 //   * byte-identity — service answers match single-threaded AnswerQuery
-//     calls against the served epoch's view for every thread count and
-//     every cheap-grain, including under concurrent hammering (this suite
-//     runs in the TSan CI job);
+//     calls against the served epoch's view for every thread count,
+//     including batches whose cheap runs cross the chunking grain and
+//     under concurrent hammering (this suite runs in the TSan CI job);
 //   * global-result caching — whole-graph families are computed at most
 //     once per (epoch, canonical parameterization) regardless of batch
 //     composition;
@@ -118,25 +118,57 @@ TEST(QueryServiceTest, PublishBumpsEpochMonotonically) {
   EXPECT_EQ(eager.epoch(), 1u);
 }
 
+// Cheap runs (neighbors and cached-global copy-outs) of one request
+// below, at, just past and well past the chunking grain, each between
+// two expensive requests: the mixed-batch unit builder must close units
+// both at the grain and at the next expensive request, and the answers
+// must not depend on where the units fall or how many workers run them.
+std::vector<QueryRequest> LongCheapRunBatch(NodeId num_nodes) {
+  constexpr size_t kGrain = serve::kDefaultCheapGrain;
+  std::vector<QueryRequest> requests;
+  NodeId q = 0;
+  for (size_t run : {kGrain - 1, kGrain, kGrain + 1, 2 * kGrain + 5}) {
+    requests.push_back({QueryKind::kRwr, q, kQueryParamUseDefault, true, {}});
+    for (size_t i = 0; i < run; ++i) {
+      q = (q + 5) % num_nodes;
+      if (i % 6 == 5) {
+        requests.push_back({i % 12 == 5 ? QueryKind::kDegree
+                                        : QueryKind::kPageRank,
+                            0, kQueryParamUseDefault, true, {}});
+      } else {
+        requests.push_back(
+            {QueryKind::kNeighbors, q, kQueryParamUseDefault, true, {}});
+      }
+    }
+    requests.push_back({QueryKind::kHop, q, kQueryParamUseDefault, true, {}});
+  }
+  return requests;
+}
+
+// Every batch is answered twice by the same service: the repeat runs
+// against a warm global-result cache and reused kernel scratch and must
+// return the same bytes. The empty batch is a valid batch.
 TEST(QueryServiceTest, AnswersByteIdenticalToSingleThreadedReference) {
   Graph g = GenerateBarabasiAlbert(130, 3, 411);
   const SummaryGraph summary = MakeSummary(g, 0.5, {3});
   const SummaryView view(summary);
-  const auto requests = ServiceBatch(g.num_nodes());
-  const auto want = Expected(view, requests);
+  const std::vector<std::vector<QueryRequest>> batches = {
+      ServiceBatch(g.num_nodes()), LongCheapRunBatch(g.num_nodes()), {}};
 
   for (int threads : {1, 2, 4, 8}) {
-    for (size_t grain : {size_t{1}, size_t{3}, size_t{64}}) {
-      QueryService service(summary,
-                           {.num_threads = threads, .cheap_grain = grain});
-      const auto got = service.Answer(requests);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(got->epoch, 1u);
-      ExpectSameResults(
-          got->results, want,
-          ("threads=" + std::to_string(threads) + " grain=" +
-           std::to_string(grain))
-              .c_str());
+    QueryService service(summary, {.num_threads = threads});
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const auto want = Expected(view, batches[b]);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const auto got = service.Answer(batches[b]);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->epoch, 1u);
+        ExpectSameResults(got->results, want,
+                          ("threads=" + std::to_string(threads) +
+                           " batch=" + std::to_string(b) +
+                           " repeat=" + std::to_string(repeat))
+                              .c_str());
+      }
     }
   }
 }
@@ -260,26 +292,6 @@ TEST(QueryServiceTest, InvalidRequestsRejectedTyped) {
   EXPECT_EQ(defaulted->scores, explicit_default->scores);
 }
 
-TEST(QueryServiceTest, AnswerBatchShimMatchesService) {
-  Graph g = GenerateBarabasiAlbert(110, 2, 415);
-  const SummaryGraph summary = MakeSummary(g, 0.5);
-  const SummaryView view(summary);
-  const auto requests = ServiceBatch(g.num_nodes());
-
-  QueryService service(summary, {.num_threads = 4});
-  const auto served = service.Answer(requests);
-  ASSERT_TRUE(served.ok());
-  const auto shimmed = AnswerBatch(view, requests, /*num_threads=*/4);
-  ASSERT_TRUE(shimmed.ok()) << shimmed.status().ToString();
-  ExpectSameResults(*shimmed, served->results, "shim");
-
-  // The shim propagates validation errors too.
-  const auto bad = AnswerBatch(
-      view, {{QueryKind::kRwr, 0, 2.0, true, {}}}, /*num_threads=*/1);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(QueryServiceTest, PublishesDynamicSummaryRebuilds) {
   Graph g = GenerateBarabasiAlbert(100, 3, 416);
   DynamicSummary::Options options;
@@ -311,7 +323,7 @@ TEST(QueryServiceTest, PublishesDynamicSummaryRebuilds) {
 // The serving path must reproduce the cross-stdlib goldens bit-for-bit:
 // the same constants determinism_test asserts through a single-threaded
 // SummaryView, served here through a multi-threaded QueryService batch
-// (pool fan-out, global-result cache, cheap-grain chunking and all).
+// (pool fan-out, global-result cache and cheap-run chunking).
 TEST(QueryServiceTest, ServedAnswersMatchCrossStdlibGoldens) {
   const Graph g = ::pegasus::testing::QueryGoldenGraph();
   const SummaryGraph summary = ::pegasus::testing::QueryGoldenSummary(g);
@@ -319,7 +331,7 @@ TEST(QueryServiceTest, ServedAnswersMatchCrossStdlibGoldens) {
   std::vector<QueryRequest> requests;
   for (const auto& c : cases) requests.push_back(c.request);
 
-  QueryService service(summary, {.num_threads = 4, .cheap_grain = 3});
+  QueryService service(summary, {.num_threads = 4});
   const auto batch = service.Answer(requests);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->results.size(), cases.size());
@@ -384,14 +396,17 @@ TEST(QueryServiceTest, ConcurrentBatchesAcrossEpochSwapsAreByteIdentical) {
   const SummaryGraph summary_a = MakeSummary(g, 0.5);
   const SummaryGraph summary_b = MakeSummary(g, 0.3, {1, 2});
 
-  QueryService service({.num_threads = 4, .cheap_grain = 4});
+  QueryService service({.num_threads = 4});
   // by_epoch[e - 1] is the summary published as epoch e; Publish is
   // called only from this thread.
   std::vector<const SummaryGraph*> by_epoch;
   service.Publish(summary_a);
   by_epoch.push_back(&summary_a);
 
-  const auto requests = ServiceBatch(g.num_nodes());
+  // Mixed units of every shape, including cheap runs closed at the grain.
+  auto requests = ServiceBatch(g.num_nodes());
+  const auto long_runs = LongCheapRunBatch(g.num_nodes());
+  requests.insert(requests.end(), long_runs.begin(), long_runs.end());
   constexpr int kThreads = 4;
   constexpr int kIterations = 6;
   std::vector<std::vector<QueryService::BatchResult>> recorded(kThreads);

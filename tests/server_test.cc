@@ -327,31 +327,6 @@ TEST_F(ServerTest, OversizedBatchRejectedAndCounted) {
   EXPECT_NE(stats->body.find("rejected_oversized 1"), std::string::npos);
 }
 
-TEST_F(ServerTest, ConnectionCapZeroRejectsEveryBatch) {
-  // Serial frame handling means a connection's in-flight count never
-  // exceeds one, so cap 0 is the deterministic way to exercise the
-  // per-connection limb.
-  QueryService service(summary_);
-  Server::Options options;
-  options.max_inflight_per_connection = 0;
-  Server server(service, options);
-  ASSERT_TRUE(server.Start().ok());
-  ClientSocket client(server.port());
-  ASSERT_TRUE(client.ok());
-
-  auto reply = client.RoundTrip(FrameType::kBatch, "degree\n");
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply->type, FrameType::kError);
-  EXPECT_NE(reply->body.find("FAILED_PRECONDITION"), std::string::npos);
-  EXPECT_NE(reply->body.find("connection overloaded"), std::string::npos);
-  EXPECT_EQ(server.stats().rejected_overload, 1u);
-
-  // Directives are not batches: they bypass admission.
-  auto epoch = client.RoundTrip(FrameType::kEpoch, "");
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_EQ(epoch->type, FrameType::kOk);
-}
-
 TEST_F(ServerTest, ServerCapZeroRejectsEveryBatch) {
   QueryService service(summary_);
   Server::Options options;
@@ -364,9 +339,17 @@ TEST_F(ServerTest, ServerCapZeroRejectsEveryBatch) {
   auto reply = client.RoundTrip(FrameType::kBatch, "degree\n");
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply->type, FrameType::kError);
+  EXPECT_NE(reply->body.find("FAILED_PRECONDITION"), std::string::npos);
   EXPECT_NE(reply->body.find("server overloaded"), std::string::npos);
   EXPECT_EQ(server.stats().rejected_overload, 1u);
   EXPECT_EQ(server.stats().inflight_total, 0);  // rollback left no residue
+  ASSERT_EQ(server.stats().connections.size(), 1u);
+  EXPECT_EQ(server.stats().connections[0].inflight_batches, 0);
+
+  // Directives are not batches: they bypass admission.
+  auto epoch = client.RoundTrip(FrameType::kEpoch, "");
+  ASSERT_TRUE(epoch.ok());
+  EXPECT_EQ(epoch->type, FrameType::kOk);
 }
 
 TEST_F(ServerTest, BackpressureAccountingUnderConcurrency) {

@@ -4,12 +4,13 @@
 // stores each supernode's superedges in canonical ascending-neighbor
 // order — the ONLY edge order anywhere in the serving path — so every
 // query family's output is a function of the summary alone: independent
-// of superedge insertion order, of the stdlib's hash-map layout, and of
-// the thread count used to answer a batch. The SummaryGraph wrappers in
-// summary_queries.h must return byte-identical vectors to the view
-// overloads, and on an identity summary (Ĝ = G) the integer families
-// must agree with the exact processors on the input graph. Cross-stdlib
-// golden hashes live in tests/determinism_test.cc.
+// of superedge insertion order and of the stdlib's hash-map layout
+// (tests/query_service_test.cc adds the thread count used to answer a
+// batch). The SummaryGraph wrappers in summary_queries.h must return
+// byte-identical vectors to the view overloads, and on an identity
+// summary (Ĝ = G) the integer families must agree with the exact
+// processors on the input graph. Cross-stdlib golden hashes live in
+// tests/determinism_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include "src/query/query_engine.h"
 #include "src/query/summary_queries.h"
 #include "src/query/summary_view.h"
-#include "tests/test_util.h"
 
 namespace pegasus {
 namespace {
@@ -269,77 +269,6 @@ TEST(SummaryViewTest, WrappersByteIdenticalToViewPaths) {
           << c.name << " weighted=" << weighted;
     }
   }
-}
-
-std::vector<QueryRequest> MixedBatch(NodeId num_nodes) {
-  std::vector<QueryRequest> requests;
-  for (NodeId q = 0; q < num_nodes; q += 7) {
-    requests.push_back({QueryKind::kRwr, q, -1.0, true, {}});
-    requests.push_back({QueryKind::kPhp, q, -1.0, false, {}});
-    requests.push_back({QueryKind::kHop, q, -1.0, true, {}});
-    requests.push_back({QueryKind::kNeighbors, q, -1.0, true, {}});
-  }
-  requests.push_back({QueryKind::kPageRank, 0, -1.0, true, {}});
-  requests.push_back({QueryKind::kDegree, 0, -1.0, true, {}});
-  requests.push_back({QueryKind::kClustering, 0, -1.0, false, {}});
-  return requests;
-}
-
-void ExpectResultsEqual(const std::vector<QueryResult>& a,
-                        const std::vector<QueryResult>& b,
-                        const char* label) {
-  ASSERT_EQ(a.size(), b.size()) << label;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].kind, b[i].kind) << label << " i=" << i;
-    EXPECT_EQ(a[i].neighbors, b[i].neighbors) << label << " i=" << i;
-    EXPECT_EQ(a[i].hops, b[i].hops) << label << " i=" << i;
-    EXPECT_EQ(a[i].scores, b[i].scores) << label << " i=" << i;
-  }
-}
-
-TEST(AnswerBatchTest, ByteIdenticalAcrossThreadCounts) {
-  Graph g = GenerateBarabasiAlbert(140, 3, 305);
-  auto result = *SummarizeGraphToRatio(g, {3}, 0.5);
-  SummaryView view(result.summary);
-  const auto requests = MixedBatch(g.num_nodes());
-
-  const auto baseline = AnswerBatch(view, requests, /*num_threads=*/1);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (int threads : {2, 4, 8}) {
-    const auto parallel = AnswerBatch(view, requests, threads);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectResultsEqual(*baseline, *parallel,
-                       ("threads=" + std::to_string(threads)).c_str());
-  }
-}
-
-TEST(AnswerBatchTest, MatchesSingleQueryAnswers) {
-  Graph g = GenerateBarabasiAlbert(100, 2, 306);
-  auto result = *SummarizeGraphToRatio(g, {}, 0.5);
-  SummaryView view(result.summary);
-  const auto requests = MixedBatch(g.num_nodes());
-
-  const auto batched = AnswerBatch(view, requests, /*num_threads=*/4);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_EQ(batched->size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const QueryResult single = AnswerQuery(view, requests[i]);
-    EXPECT_EQ((*batched)[i].neighbors, single.neighbors) << "i=" << i;
-    EXPECT_EQ((*batched)[i].hops, single.hops) << "i=" << i;
-    EXPECT_EQ((*batched)[i].scores, single.scores) << "i=" << i;
-  }
-}
-
-TEST(AnswerBatchTest, EmptyBatchAndSharedPool) {
-  Graph g = ::pegasus::testing::PathGraph(5);
-  SummaryView view(SummaryGraph::Identity(g));
-  Executor pool(3);
-  EXPECT_TRUE(AnswerBatch(view, {}, pool)->empty());
-  // The same pool serves consecutive batches.
-  const auto r1 = AnswerBatch(view, MixedBatch(5), pool);
-  const auto r2 = AnswerBatch(view, MixedBatch(5), pool);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  ExpectResultsEqual(*r1, *r2, "repeat");
 }
 
 TEST(QueryKindTest, NamesRoundTrip) {

@@ -7,8 +7,7 @@
 //                      [--threads N]   (1 = serial, 0 = all cores)
 //   pegasus query      <summary> <kind> <node> [--top K]
 //   pegasus query      <summary> --queries <file> [--threads N] [--top K]
-//   pegasus serve      <summary> [--threads N] [--top K] [--grain G]
-//                      [--port P]
+//   pegasus serve      <summary> [--threads N] [--top K] [--port P]
 //   pegasus evaluate   <edgelist> <summary> [--alpha A] [--targets a,b,c]
 //   pegasus view       <file.psb> [--validate]
 //   pegasus convert    <in> <out> [--compact]
@@ -176,8 +175,7 @@ int Usage() {
       "pagerank|clustering> <node> [--top K]\n"
       "  pegasus query     <summary> --queries <file> [--threads N]"
       " [--top K]\n"
-      "  pegasus serve     <summary> [--threads N] [--top K] [--grain G]"
-      " [--port P]\n"
+      "  pegasus serve     <summary> [--threads N] [--top K] [--port P]\n"
       "  pegasus evaluate  <edgelist> <summary> [--alpha A]"
       " [--targets a,b,c]\n"
       "  pegasus compress  <edgelist> <out.summary> [--tmax T] [--seed S]\n"
@@ -438,12 +436,8 @@ int CmdServe(const Args& args) {
     std::fprintf(stderr, "error: %s\n", view.status().ToString().c_str());
     return 2;
   }
-  QueryService::Options options;
-  options.num_threads = static_cast<int>(args.FlagInt("threads", 0));
-  if (auto g = args.FlagInt("grain", -1); g >= 1) {
-    options.cheap_grain = static_cast<size_t>(g);
-  }
-  QueryService service(options);
+  QueryService service(
+      {.num_threads = static_cast<int>(args.FlagInt("threads", 0))});
   service.Publish(*std::move(view));
   const size_t top = static_cast<size_t>(args.FlagInt("top", 10));
   std::printf("serving %s: epoch %llu, %d threads (blank line answers the "
