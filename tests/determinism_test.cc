@@ -68,10 +68,15 @@ struct GoldenCase {
   uint64_t dropped;
 };
 
-SummarizationResult RunCase(const GoldenCase& c, int num_threads) {
+SummarizationResult RunCase(
+    const GoldenCase& c, int num_threads,
+    EncodingScheme encoding = EncodingScheme::kErrorCorrection,
+    MergeScore score = MergeScore::kRelative) {
   Graph g = GenerateBarabasiAlbert(c.nodes, c.attach, c.graph_seed);
   PegasusConfig config;
   config.seed = c.run_seed;
+  config.encoding = encoding;
+  config.merge_score = score;
   config.alpha = c.alpha;
   config.max_iterations = c.max_iterations;
   config.num_threads = num_threads;
@@ -244,6 +249,21 @@ TEST(DeterminismTest, ParallelPathMatchesGoldenFixtureB) {
   for (int threads : {2, 8}) {
     SCOPED_TRACE(threads);
     ExpectMatchesParallelGolden(RunCase(kGoldenB, threads), kParallelGoldenB);
+  }
+}
+
+// Fixture A under SSumM's best-of-both encoding and the absolute (Eq. 10)
+// score: the PairCost branches the default configuration never takes.
+const ParallelGolden kParallelGoldenBestOfBothAbsolute{
+    222, 286, 7576.172222, 178, 1129, 121, 1, 0, 0x737c2c69f634e66fULL};
+
+TEST(DeterminismTest, ParallelPathMatchesGoldenBestOfBothAbsolute) {
+  for (int threads : {2, 8}) {
+    SCOPED_TRACE(threads);
+    ExpectMatchesParallelGolden(
+        RunCase(kGoldenA, threads, EncodingScheme::kBestOfBoth,
+                MergeScore::kAbsolute),
+        kParallelGoldenBestOfBothAbsolute);
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iomanip>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -15,7 +16,9 @@
 #include "src/core/parallel_engine.h"
 #include "src/core/pegasus.h"
 #include "src/eval/error_eval.h"
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -250,6 +253,78 @@ TEST(ParallelEngineTest, ReusedPlannerMatchesFreshPlannerPerGroup) {
   // Merges inside a group are what invalidate views mid-group; make sure
   // the fixture exercises them.
   EXPECT_GT(merges, 0u);
+}
+
+// Folds one plan into an FNV hash: its merge pairs, its failure scores by
+// bit pattern, and its evaluation count.
+uint64_t HashPlan(uint64_t h, const GroupPlan& plan) {
+  using ::pegasus::testing::HashWord;
+  h = HashWord(h, plan.merges.size());
+  for (const auto& [a, b] : plan.merges) {
+    h = HashWord(h, a);
+    h = HashWord(h, b);
+  }
+  h = HashWord(h, plan.failures.size());
+  for (double f : plan.failures) h = HashWord(h, std::bit_cast<uint64_t>(f));
+  return HashWord(h, plan.evaluations);
+}
+
+TEST(ParallelEngineTest, GroupPlansOfFirstRoundsArePinned) {
+  // Pins the planner at group granularity: every GroupPlan of the first
+  // two rounds on the hub-heavy Skitter* fixture of determinism_test
+  // (ParallelPathMatchesGoldenHubHeavySkitter), hashed per round. The
+  // summary-level goldens only see the applied merges; this also pins
+  // the order of every decision, the rejected scores that feed the
+  // adaptive threshold, and the evaluation count of each group.
+  const Graph g = MakeDataset(DatasetId::kSkitter, DatasetScale::kTiny).graph;
+  Rng rng(SplitMix64(/*seed=*/11));
+  const std::vector<uint64_t> raw = rng.SampleDistinct(g.num_nodes(), 10);
+  const std::vector<NodeId> targets(raw.begin(), raw.end());
+  PegasusConfig config;
+  config.seed = 1;
+
+  SummaryGraph summary = SummaryGraph::Identity(g);
+  const PersonalWeights w = PersonalWeights::Compute(g, targets, config.alpha);
+  CostModel cost(g, w, summary, config.encoding);
+  Executor pool(4);
+  ParallelEngine engine(g, summary, cost, config.merge_score, config.groups,
+                        pool);
+  GroupMergePlanner planner(g, summary, cost, config.merge_score);
+  ThresholdPolicy threshold(config.threshold_rule, config.beta,
+                            config.max_iterations);
+
+  const uint64_t kPinned[2] = {0x39d7addda82909d8ULL, 0x0ff41b6d66d7b9aaULL};
+  for (int t = 1; t <= 2; ++t) {
+    SCOPED_TRACE(t);
+    // The round and group seed derivations of DriveToBudget and
+    // ParallelEngine::RunRound.
+    const uint64_t round_seed =
+        SplitMix64(config.seed + 0x9e3779b97f4a7c15ULL * t);
+    const std::vector<std::vector<SupernodeId>> groups =
+        GenerateCandidateGroupsParallel(g, summary, round_seed, config.groups,
+                                        pool);
+    uint64_t h = ::pegasus::testing::kFnvOffset64;
+    MergeStats planned;
+    for (const std::vector<SupernodeId>& group : groups) {
+      const SupernodeId min_id = *std::min_element(group.begin(), group.end());
+      const uint64_t group_seed =
+          round_seed ^ SplitMix64(0x8bb84b93962eacc9ULL + min_id);
+      const GroupPlan plan = planner.PlanGroup(
+          group, threshold.theta(), summary.num_supernodes(), group_seed);
+      h = HashPlan(h, plan);
+      planned.merges += plan.merges.size();
+      planned.evaluations += plan.evaluations;
+    }
+    // The engine must run exactly the plans hashed above.
+    const MergeStats before = engine.stats();
+    EXPECT_EQ(engine.RunRound(round_seed, threshold), planned.merges);
+    EXPECT_EQ(engine.stats().evaluations - before.evaluations,
+              planned.evaluations);
+    EXPECT_GT(planned.merges, 0u);
+    EXPECT_EQ(h, kPinned[t - 1])
+        << "actual " << std::hex << std::showbase << h;
+    threshold.EndIteration(t + 1);
+  }
 }
 
 }  // namespace
