@@ -9,10 +9,12 @@
 #include "src/core/candidate_groups.h"
 #include "src/core/cost_model.h"
 #include "src/core/merge_engine.h"
+#include "src/core/parallel_engine.h"
 #include "src/core/pegasus.h"
 #include "src/core/personal_weights.h"
 #include "src/eval/error_eval.h"
 #include "src/graph/bfs.h"
+#include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
 #include "src/query/summary_queries.h"
@@ -69,6 +71,43 @@ void BM_EvaluateMerge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateMerge);
+
+void BM_PlanGroup(benchmark::State& state) {
+  // One parallel-engine planner pass (Alg. 2 on one candidate group) over
+  // a fixed hub-heavy group: the first-round candidate group of Skitter*
+  // tiny with the largest total member degree, where hubs sit next to
+  // leaves. Reports the planner's time per merge evaluation.
+  const Graph g = MakeDataset(DatasetId::kSkitter, DatasetScale::kTiny).graph;
+  const SummaryGraph s = SummaryGraph::Identity(g);
+  const auto w = PersonalWeights::Compute(g, {0, 1, 2}, 1.25);
+  const CostModel cm(g, w, s);
+  Rng rng(3);
+  std::vector<SupernodeId> group;
+  size_t heaviest = 0;
+  for (auto& candidate : GenerateCandidateGroups(g, s, 1, {}, rng)) {
+    size_t degree = 0;
+    for (SupernodeId a : candidate) degree += g.degree(a);
+    if (degree > heaviest) {
+      heaviest = degree;
+      group = std::move(candidate);
+    }
+  }
+  GroupMergePlanner planner(g, s, cm, MergeScore::kRelative);
+  uint64_t evaluations = 0;
+  for (auto _ : state) {
+    const GroupPlan plan =
+        planner.PlanGroup(group, /*theta=*/0.0, s.num_supernodes(), 7);
+    evaluations += plan.evaluations;
+    benchmark::DoNotOptimize(plan.merges.data());
+  }
+  state.counters["group_size"] = static_cast<double>(group.size());
+  state.counters["evaluations"] = benchmark::Counter(
+      static_cast<double>(evaluations), benchmark::Counter::kAvgIterations);
+  state.counters["s_per_evaluation"] = benchmark::Counter(
+      static_cast<double>(evaluations),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PlanGroup);
 
 void BM_ApplyMerge(benchmark::State& state) {
   // Rebuild the summary once it gets too coarse; timing includes only the

@@ -8,10 +8,6 @@
 
 namespace pegasus {
 
-namespace {
-constexpr double kEps = 1e-12;
-}  // namespace
-
 CostModel::CostModel(const Graph& graph, const PersonalWeights& weights,
                      const SummaryGraph& summary, EncodingScheme encoding)
     : graph_(graph),
@@ -29,8 +25,7 @@ CostModel::CostModel(const Graph& graph, const PersonalWeights& weights,
     pi2_sum_[a] += p * p;
   }
   scratch_.Resize(bound);
-  memo_slot_.assign(bound, 0);
-  memo_stamp_.assign(bound, 0);
+  memo_slot_.Resize(bound);
 }
 
 void CollectIncidentPairs(const Graph& graph, const SummaryGraph& summary,
@@ -52,11 +47,11 @@ void CollectIncidentPairs(const Graph& graph, const SummaryGraph& summary,
     p.neighbor = c;
     if (c == a) {
       // Internal edges were seen from both endpoints.
-      p.edge_weight = scratch.weight[c] / 2.0;
-      p.edge_count = scratch.count[c] / 2;
+      p.edge_weight = scratch.weight(c) / 2.0;
+      p.edge_count = scratch.count(c) / 2;
     } else {
-      p.edge_weight = scratch.weight[c];
-      p.edge_count = scratch.count[c];
+      p.edge_weight = scratch.weight(c);
+      p.edge_count = scratch.count(c);
     }
     out.push_back(p);
   }
@@ -68,23 +63,6 @@ double CostModel::PairPotential(SupernodeId a, SupernodeId b) const {
     return (pi_sum_[a] * pi_sum_[a] - pi2_sum_[a]) / (2.0 * z);
   }
   return pi_sum_[a] * pi_sum_[b] / z;
-}
-
-double CostModel::PairCost(double potential, double edge_weight,
-                           double superedge_bits) const {
-  // Guard against floating-point drift: real-edge weight can never exceed
-  // the total pair weight.
-  edge_weight = std::min(edge_weight, potential);
-  const double with_edge =
-      superedge_bits + bits_per_error_ * (potential - edge_weight);
-  const double without_edge = bits_per_error_ * edge_weight;
-  double cost = std::min(with_edge, without_edge);
-  if (encoding_ == EncodingScheme::kBestOfBoth && potential > kEps) {
-    const double entropy =
-        superedge_bits + potential * BinaryEntropy(edge_weight / potential);
-    cost = std::min(cost, entropy);
-  }
-  return cost;
 }
 
 bool CostModel::SuperedgeBeneficial(double potential, double edge_weight,
@@ -126,23 +104,19 @@ double CostModel::SupernodeCost(SupernodeId a) {
 }
 
 uint32_t CostModel::Memoized(SupernodeId a, double superedge_bits) {
-  if (memo_stamp_[a] == memo_epoch_) return memo_slot_[a];
+  if (!memo_slot_.Claim(a)) return memo_slot_[a].index;
   if (memo_used_ == memo_.size()) memo_.emplace_back();
   MemoEntry& entry = memo_[memo_used_];
   CollectIncident(a, entry.pairs);
   entry.cost =
       PairListCost(entry.pairs, a, pi_sum_[a], pi2_sum_[a], superedge_bits);
-  memo_stamp_[a] = memo_epoch_;
-  memo_slot_[a] = static_cast<uint32_t>(memo_used_);
+  memo_slot_[a].index = static_cast<uint32_t>(memo_used_);
   return static_cast<uint32_t>(memo_used_++);
 }
 
 void CostModel::InvalidateMemo() {
   memo_used_ = 0;
-  if (++memo_epoch_ == 0) {  // stamp wrap-around: forget every stamp
-    std::fill(memo_stamp_.begin(), memo_stamp_.end(), 0);
-    memo_epoch_ = 1;
-  }
+  memo_slot_.NextEpoch();
 }
 
 MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
@@ -191,10 +165,10 @@ MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
   fold(pairs_a, /*from_a=*/true);
   fold(pairs_b, /*from_a=*/false);
   for (SupernodeId c : scratch_.touched) {
-    buf_m_.push_back({c, scratch_.weight[c], scratch_.count[c]});
+    buf_m_.push_back({c, scratch_.count(c), scratch_.weight(c)});
   }
-  if (self_count > 0 || self_weight > kEps) {
-    buf_m_.push_back({a, self_weight, self_count});
+  if (self_count > 0 || self_weight > kCostEpsilon) {
+    buf_m_.push_back({a, self_count, self_weight});
   }
 
   const double merged_pi = pi_sum_[a] + pi_sum_[b];
@@ -207,10 +181,10 @@ MergeEval CostModel::EvaluateMerge(SupernodeId a, SupernodeId b) {
   MergeEval eval;
   const double base = cost_a + cost_b - cost_ab;
   eval.absolute = base - cost_merged;
-  if (base > kEps) {
+  if (base > kCostEpsilon) {
     eval.relative = eval.absolute / base;
   } else {
-    eval.relative = eval.absolute >= -kEps ? 1.0 : -1.0;
+    eval.relative = eval.absolute >= -kCostEpsilon ? 1.0 : -1.0;
   }
   return eval;
 }

@@ -31,6 +31,7 @@
 #ifndef PEGASUS_CORE_COST_MODEL_H_
 #define PEGASUS_CORE_COST_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "src/core/summary_graph.h"
 #include "src/graph/graph.h"
 #include "src/util/bits.h"
+#include "src/util/stamped_slots.h"
 
 namespace pegasus {
 
@@ -55,12 +57,17 @@ enum class MergeScore {
   kAbsolute,  // Eq. (10) — ablation
 };
 
+// Floating-point guard of the cost model: potentials at or below it count
+// as empty, and relative scores divide only by bases above it.
+inline constexpr double kCostEpsilon = 1e-12;
+
 // One incident supernode pair of some supernode A, aggregated over the
-// input edges between A and the neighbor.
+// input edges between A and the neighbor. The field order packs it into
+// 16 bytes.
 struct IncidentPair {
   SupernodeId neighbor = 0;
-  double edge_weight = 0.0;  // E_AB: summed W over real edges
   uint32_t edge_count = 0;   // number of real edges
+  double edge_weight = 0.0;  // E_AB: summed W over real edges
 };
 
 // Timestamped dense scratch for aggregating values per supernode id
@@ -69,33 +76,35 @@ struct IncidentPair {
 // CollectIncidentPairs() must be callable concurrently with thread-local
 // scratch against a frozen summary.
 struct IncidentScratch {
-  void Resize(SupernodeId id_bound) {
-    stamp.assign(id_bound, 0);
-    weight.assign(id_bound, 0.0);
-    count.assign(id_bound, 0);
-  }
+  // One id's accumulator: stamp, count and weight in 16 bytes.
+  struct Slot {
+    uint32_t stamp = 0;
+    uint32_t count = 0;
+    double weight = 0.0;
+  };
+
+  void Resize(SupernodeId id_bound) { slots.Resize(id_bound); }
   // Begins a new aggregation epoch and clears `touched`.
   void NextEpoch() {
-    ++current;
+    slots.NextEpoch();
     touched.clear();
   }
   // Adds (w, c) to the accumulator of id, registering it if first seen.
   void Add(SupernodeId id, double w, uint32_t c) {
-    if (stamp[id] != current) {
-      stamp[id] = current;
-      weight[id] = 0.0;
-      count[id] = 0;
+    Slot& slot = slots[id];
+    if (slots.Claim(id)) {
+      slot.weight = 0.0;
+      slot.count = 0;
       touched.push_back(id);
     }
-    weight[id] += w;
-    count[id] += c;
+    slot.weight += w;
+    slot.count += c;
   }
+  double weight(SupernodeId id) const { return slots[id].weight; }
+  uint32_t count(SupernodeId id) const { return slots[id].count; }
 
-  std::vector<uint32_t> stamp;
-  std::vector<double> weight;
-  std::vector<uint32_t> count;
+  StampedSlots<Slot> slots;
   std::vector<SupernodeId> touched;  // first-seen order (deterministic)
-  uint32_t current = 0;
 };
 
 // Collects the incident pairs of supernode a: every supernode (possibly a
@@ -145,9 +154,24 @@ class CostModel {
   // Encoding cost of one pair given its aggregates, where one superedge
   // costs `superedge_bits` (SuperedgeBits(|S|)). Chooses the cheaper of
   // keeping/dropping the superedge (and the entropy option under
-  // kBestOfBoth).
+  // kBestOfBoth). Inline: it is the innermost call of merge evaluation.
   double PairCost(double potential, double edge_weight,
-                  double superedge_bits) const;
+                  double superedge_bits) const {
+    // Guard against floating-point drift: real-edge weight can never
+    // exceed the total pair weight.
+    edge_weight = std::min(edge_weight, potential);
+    const double with_edge =
+        superedge_bits + bits_per_error_ * (potential - edge_weight);
+    const double without_edge = bits_per_error_ * edge_weight;
+    double cost = std::min(with_edge, without_edge);
+    if (encoding_ == EncodingScheme::kBestOfBoth &&
+        potential > kCostEpsilon) {
+      const double entropy =
+          superedge_bits + potential * BinaryEntropy(edge_weight / potential);
+      cost = std::min(cost, entropy);
+    }
+    return cost;
+  }
 
   // True iff keeping a superedge for the pair is the cheaper option under
   // error correction (this is the output decision rule of Alg. 2 line 9).
@@ -206,14 +230,12 @@ class CostModel {
 
   IncidentScratch scratch_;
 
-  // EvaluateMerge memo: memo_slot_[a] indexes memo_ iff memo_stamp_[a] ==
-  // memo_epoch_. Entries past memo_used_ are spare buffers kept for their
+  // EvaluateMerge memo: memo_slot_[a].index indexes memo_ iff a's slot is
+  // live. Entries past memo_used_ are spare buffers kept for their
   // capacity.
   std::vector<MemoEntry> memo_;
   size_t memo_used_ = 0;
-  std::vector<uint32_t> memo_slot_;
-  std::vector<uint32_t> memo_stamp_;
-  uint32_t memo_epoch_ = 1;
+  StampedSlots<IndexSlot> memo_slot_;
 
   // Reusable buffers for SupernodeCost and EvaluateMerge.
   std::vector<IncidentPair> buf_a_;

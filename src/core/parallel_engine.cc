@@ -5,11 +5,6 @@
 
 namespace pegasus {
 
-namespace {
-// Same guard as the cost model's (cost_model.cc).
-constexpr double kEps = 1e-12;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // GroupMergePlanner
 
@@ -18,9 +13,9 @@ GroupMergePlanner::GroupMergePlanner(const Graph& graph,
                                      const CostModel& cost, MergeScore score)
     : graph_(graph), summary_(summary), cost_(cost), score_(score) {
   const SupernodeId bound = summary.id_bound();
-  group_slot_.assign(bound, 0);
-  group_slot_stamp_.assign(bound, 0);
+  group_slot_.Resize(bound);
   scratch_.Resize(bound);
+  pair_mark_.Resize(bound);
 }
 
 uint32_t GroupMergePlanner::FindRoot(uint32_t i) {
@@ -32,7 +27,7 @@ uint32_t GroupMergePlanner::FindRoot(uint32_t i) {
 }
 
 uint32_t GroupMergePlanner::LocalSlot(SupernodeId id) const {
-  return group_slot_stamp_[id] == group_stamp_ ? group_slot_[id] : UINT32_MAX;
+  return group_slot_.Live(id) ? group_slot_[id].index : UINT32_MAX;
 }
 
 double GroupMergePlanner::PiOf(SupernodeId canonical_id) const {
@@ -60,11 +55,11 @@ void GroupMergePlanner::CollectFrozen(SupernodeId a, Local& out) {
   }
 }
 
-void GroupMergePlanner::BuildCanonical(uint32_t root, CanonicalView& out) {
+void GroupMergePlanner::BuildCanonical(uint32_t root, MemoView& memo) {
   const Local& local = locals_[root];
-  out.self_weight = local.self_weight;
-  out.self_count = local.self_count;
-  out.ext.clear();
+  memo.self_weight = local.self_weight;
+  memo.self_count = local.self_count;
+  memo.canonical.clear();
   scratch_.NextEpoch();
   for (const IncidentPair& p : local.ext) {
     SupernodeId key = p.neighbor;
@@ -75,8 +70,8 @@ void GroupMergePlanner::BuildCanonical(uint32_t root, CanonicalView& out) {
         // The keyed supernode has since merged into `root` itself; its
         // pairs are internal now (folds normally handle this — keep it as
         // a defensive invariant).
-        out.self_weight += p.edge_weight;
-        out.self_count += p.edge_count;
+        memo.self_weight += p.edge_weight;
+        memo.self_count += p.edge_count;
         continue;
       }
       key = locals_[rep].orig;
@@ -84,100 +79,144 @@ void GroupMergePlanner::BuildCanonical(uint32_t root, CanonicalView& out) {
     scratch_.Add(key, p.edge_weight, p.edge_count);
   }
   for (SupernodeId key : scratch_.touched) {
-    out.ext.push_back({key, scratch_.weight[key], scratch_.count[key]});
+    memo.canonical.push_back({key, scratch_.count(key), scratch_.weight(key)});
   }
-}
-
-double GroupMergePlanner::ViewCost(const CanonicalView& view, double self_pi,
-                                   double self_pi2,
-                                   double superedge_bits) const {
-  const double z = cost_.weights().Z();
-  double total = 0.0;
-  for (const IncidentPair& p : view.ext) {
-    const double potential = self_pi * PiOf(p.neighbor) / z;
-    total += cost_.PairCost(potential, p.edge_weight, superedge_bits);
-  }
-  if (view.self_count > 0 || view.self_weight > kEps) {
-    const double potential = (self_pi * self_pi - self_pi2) / (2.0 * z);
-    total += cost_.PairCost(potential, view.self_weight, superedge_bits);
-  }
-  return total;
+  memo.ext = memo.canonical;
 }
 
 const GroupMergePlanner::MemoView& GroupMergePlanner::View(
     uint32_t root, double superedge_bits) {
   MemoView& memo = views_[root];
-  if (memo.epoch != view_epoch_) {
-    BuildCanonical(root, memo.view);
-    memo.cost = ViewCost(memo.view, locals_[root].pi, locals_[root].pi2,
-                         superedge_bits);
-    memo.epoch = view_epoch_;
+  if (memo.epoch == view_epoch_) return memo;
+  const Local& local = locals_[root];
+  if (group_merged_) {
+    BuildCanonical(root, memo);
+  } else {
+    // Every id is still its own representative: the canonical view is
+    // the collected list, pair for pair.
+    memo.ext = local.ext;
+    memo.self_weight = local.self_weight;
+    memo.self_count = local.self_count;
   }
+  // Eq. 9 over the view: every external pair, then the self pair.
+  const double z = cost_.weights().Z();
+  memo.neighbor_pi.resize(memo.ext.size());
+  double total = 0.0;
+  for (size_t i = 0; i < memo.ext.size(); ++i) {
+    const IncidentPair& p = memo.ext[i];
+    memo.neighbor_pi[i] = PiOf(p.neighbor);
+    total += cost_.PairCost(local.pi * memo.neighbor_pi[i] / z, p.edge_weight,
+                            superedge_bits);
+  }
+  if (memo.self_count > 0 || memo.self_weight > kCostEpsilon) {
+    const double potential = (local.pi * local.pi - local.pi2) / (2.0 * z);
+    total += cost_.PairCost(potential, memo.self_weight, superedge_bits);
+  }
+  memo.cost = total;
+  memo.epoch = view_epoch_;
   return memo;
 }
 
 MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
                                            double superedge_bits,
                                            double merged_bits) {
-  const MemoView& memo_a = View(ra, superedge_bits);
-  const MemoView& memo_b = View(rb, superedge_bits);
-  const CanonicalView& va = memo_a.view;
-  const CanonicalView& vb = memo_b.view;
+  const MemoView& va = View(ra, superedge_bits);
+  const MemoView& vb = View(rb, superedge_bits);
   const Local& a = locals_[ra];
   const Local& b = locals_[rb];
+  const double z = cost_.weights().Z();
+  const double merged_pi = a.pi + b.pi;
+  const double merged_pi2 = a.pi2 + b.pi2;
+
+  // Index b's neighbors, so a's pass finds the ones both views share.
+  pair_mark_.NextEpoch();
+  for (uint32_t j = 0; j < vb.ext.size(); ++j) {
+    pair_mark_.Claim(vb.ext[j].neighbor);
+    pair_mark_[vb.ext[j].neighbor].index = j;
+  }
+  shared_.assign(vb.ext.size(), 0);
+
+  // Cost of the hypothetical merged supernode, pair by pair in the order
+  // MergeLocal lays its pair list out: a's pairs (plus b's weight to a
+  // shared neighbor), then b's pairs a lacks, then the self pair. The
+  // cross pair {a, b} becomes internal; it is counted from a's side.
+  double self_weight = va.self_weight + vb.self_weight;
+  uint32_t self_count = va.self_count + vb.self_count;
+  double edge_weight_ab = 0.0;
+  double cost_merged = 0.0;
+  for (size_t i = 0; i < va.ext.size(); ++i) {
+    const IncidentPair& p = va.ext[i];
+    if (p.neighbor == b.orig) {
+      edge_weight_ab = p.edge_weight;
+      self_weight += p.edge_weight;
+      self_count += p.edge_count;
+      continue;
+    }
+    double edge_weight = p.edge_weight;
+    if (pair_mark_.Live(p.neighbor)) {
+      const uint32_t j = pair_mark_[p.neighbor].index;
+      edge_weight += vb.ext[j].edge_weight;
+      shared_[j] = 1;
+    }
+    cost_merged += cost_.PairCost(merged_pi * va.neighbor_pi[i] / z,
+                                  edge_weight, merged_bits);
+  }
+  for (size_t j = 0; j < vb.ext.size(); ++j) {
+    const IncidentPair& p = vb.ext[j];
+    if (shared_[j] || p.neighbor == a.orig) continue;
+    cost_merged += cost_.PairCost(merged_pi * vb.neighbor_pi[j] / z,
+                                  p.edge_weight, merged_bits);
+  }
+  if (self_count > 0 || self_weight > kCostEpsilon) {
+    const double potential =
+        (merged_pi * merged_pi - merged_pi2) / (2.0 * z);
+    cost_merged += cost_.PairCost(potential, self_weight, merged_bits);
+  }
 
   // Cost of the pair {a, b} itself, counted in both supernode costs
   // (Eq. 10 subtracts it once).
-  double edge_weight_ab = 0.0;
-  for (const IncidentPair& p : va.ext) {
-    if (p.neighbor == b.orig) {
-      edge_weight_ab = p.edge_weight;
-      break;
-    }
-  }
-  const double z = cost_.weights().Z();
   const double cost_ab =
       cost_.PairCost(a.pi * b.pi / z, edge_weight_ab, superedge_bits);
 
-  // Fold the two canonical views into the hypothetical merged supernode.
-  // The cross pair {a, b} appears in both views; count it from a's side.
-  CanonicalView& vm = view_m_;
-  vm.self_weight = va.self_weight + vb.self_weight;
-  vm.self_count = va.self_count + vb.self_count;
-  vm.ext.clear();
+  MergeEval eval;
+  const double base = va.cost + vb.cost - cost_ab;
+  eval.absolute = base - cost_merged;
+  if (base > kCostEpsilon) {
+    eval.relative = eval.absolute / base;
+  } else {
+    eval.relative = eval.absolute >= -kCostEpsilon ? 1.0 : -1.0;
+  }
+  return eval;
+}
+
+uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb,
+                                       double superedge_bits) {
+  const MemoView& va = View(ra, superedge_bits);
+  const MemoView& vb = View(rb, superedge_bits);
+  // Fold the two views into the merged supernode's pair list. The cross
+  // pair {a, b} appears in both views; count it from a's side.
+  const SupernodeId a_orig = locals_[ra].orig;
+  const SupernodeId b_orig = locals_[rb].orig;
+  double self_weight = va.self_weight + vb.self_weight;
+  uint32_t self_count = va.self_count + vb.self_count;
   scratch_.NextEpoch();
   for (const IncidentPair& p : va.ext) {
-    if (p.neighbor == b.orig) {
-      vm.self_weight += p.edge_weight;
-      vm.self_count += p.edge_count;
+    if (p.neighbor == b_orig) {
+      self_weight += p.edge_weight;
+      self_count += p.edge_count;
     } else {
       scratch_.Add(p.neighbor, p.edge_weight, p.edge_count);
     }
   }
   for (const IncidentPair& p : vb.ext) {
-    if (p.neighbor == a.orig) continue;
+    if (p.neighbor == a_orig) continue;
     scratch_.Add(p.neighbor, p.edge_weight, p.edge_count);
   }
+  merged_ext_.clear();
   for (SupernodeId key : scratch_.touched) {
-    vm.ext.push_back({key, scratch_.weight[key], scratch_.count[key]});
+    merged_ext_.push_back({key, scratch_.count(key), scratch_.weight(key)});
   }
 
-  const double merged_pi = a.pi + b.pi;
-  const double merged_pi2 = a.pi2 + b.pi2;
-  const double cost_merged = ViewCost(vm, merged_pi, merged_pi2, merged_bits);
-
-  MergeEval eval;
-  const double base = memo_a.cost + memo_b.cost - cost_ab;
-  eval.absolute = base - cost_merged;
-  if (base > kEps) {
-    eval.relative = eval.absolute / base;
-  } else {
-    eval.relative = eval.absolute >= -kEps ? 1.0 : -1.0;
-  }
-  return eval;
-}
-
-uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb) {
   // Mirror SummaryGraph::MergeSupernodes' winner rule for the argument
   // order (ra, rb), so the staged apply resolves to the same winner id.
   const uint32_t winner =
@@ -188,14 +227,15 @@ uint32_t GroupMergePlanner::MergeLocal(uint32_t ra, uint32_t rb) {
   w.pi += l.pi;
   w.pi2 += l.pi2;
   w.num_members += l.num_members;
-  w.self_weight = view_m_.self_weight;
-  w.self_count = view_m_.self_count;
-  w.ext.swap(view_m_.ext);
+  w.self_weight = self_weight;
+  w.self_count = self_count;
+  w.ext.swap(merged_ext_);
   l.alive = false;
   l.parent = winner;
   l.ext.clear();
   // The union-find, the aggregates and |S| all changed: every root's view
   // and cost may differ now.
+  group_merged_ = true;
   ++view_epoch_;
   return winner;
 }
@@ -208,7 +248,8 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
   const size_t m = group.size();
   if (m < 2) return plan;
 
-  ++group_stamp_;
+  group_slot_.NextEpoch();
+  group_merged_ = false;
   ++view_epoch_;
   locals_.clear();
   locals_.resize(m);
@@ -223,8 +264,8 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
     local.pi = cost_.Pi(id);
     local.pi2 = cost_.Pi2(id);
     local.num_members = summary_.members(id).size();
-    group_slot_[id] = i;
-    group_slot_stamp_[id] = group_stamp_;
+    group_slot_.Claim(id);
+    group_slot_[id].index = i;
   }
 
   // `active` mirrors the serial engine's mutable group vector; entries are
@@ -263,11 +304,8 @@ GroupPlan GroupMergePlanner::PlanGroup(std::span<const SupernodeId> group,
     }
 
     if (best_score >= theta) {
-      // Re-derive the merged view for the chosen pair (view_m_ holds the
-      // last sampled pair's, not necessarily the best one's).
-      EvaluateLocal(best_a, best_b, bits, merged_bits);
       plan.merges.emplace_back(locals_[best_a].orig, locals_[best_b].orig);
-      const uint32_t winner = MergeLocal(best_a, best_b);
+      const uint32_t winner = MergeLocal(best_a, best_b, bits);
       const uint32_t loser = winner == best_a ? best_b : best_a;
       active.erase(std::remove(active.begin(), active.end(), loser),
                    active.end());

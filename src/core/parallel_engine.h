@@ -16,14 +16,19 @@
 //      stream derived as round_seed ^ SplitMix64(group_min_id), so its
 //      plan is independent of which worker runs it and in what order.
 //      The planner's |S| view is the snapshot count minus its own merges.
-//      Evaluation is incremental: a local root's canonical view and its
-//      Eq. 9 cost depend only on the group's union-find, the local
-//      aggregates and |S|, which change only when the planner merges, so
-//      each is built once and reused by every sampled pair until the next
-//      merge in the group or the next group invalidates it (see
-//      GroupMergePlanner::View). Reuse replays the same floating-point
-//      operations on the same inputs, so plans are bit-identical to
-//      rebuilding per pair.
+//      Evaluation is incremental and cost-only: a local root's canonical
+//      view, the pi of its neighbors and its Eq. 9 cost depend only on the
+//      group's union-find, the local aggregates and |S|, which change only
+//      when the planner merges, so each is built once and reused by every
+//      sampled pair until the next merge in the group or the next group
+//      invalidates it (see GroupMergePlanner::View). Before the group's
+//      first merge a view is the collected pair list itself. Scoring a
+//      pair sums the merged supernode's cost in one pass over the two
+//      views (a's pairs, then b's pairs a lacks, then the self pair); the
+//      merged pair list is folded only for an accepted merge. Both replay
+//      the floating-point operations of building the merged view and
+//      costing it, in the same order on the same inputs, so plans are
+//      bit-identical to rebuilding per pair.
 //   3. Apply (serial barrier): planned merges are applied group-by-group
 //      in candidate order (MergeEngine::ApplyMergeDeferred), per-group
 //      failure logs are folded into the ThresholdPolicy, and per-worker
@@ -66,6 +71,7 @@
 #include "src/graph/graph.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "src/util/stamped_slots.h"
 
 namespace pegasus {
 
@@ -120,18 +126,18 @@ class GroupMergePlanner {
     std::vector<IncidentPair> ext;
   };
 
-  // Canonical view of one (possibly hypothetical) local supernode: the
-  // self pair plus externally keyed pairs with current representative ids.
-  struct CanonicalView {
+  // Memoized canonical view of one local root: its self pair, its
+  // externally keyed pairs with current representative ids, the pi of
+  // each of those neighbors, and its Eq. 9 cost; valid iff epoch ==
+  // view_epoch_. Before the group's first local merge every id is its own
+  // representative, so `ext` points at the root's Local::ext; after it,
+  // at `canonical`.
+  struct MemoView {
+    std::span<const IncidentPair> ext;
+    std::vector<IncidentPair> canonical;
+    std::vector<double> neighbor_pi;  // parallel to ext
     double self_weight = 0.0;
     uint32_t self_count = 0;
-    std::vector<IncidentPair> ext;
-  };
-
-  // Memoized canonical view and Eq. 9 cost of one local root; valid iff
-  // epoch == view_epoch_.
-  struct MemoView {
-    CanonicalView view;
     double cost = 0.0;
     uint64_t epoch = 0;
   };
@@ -142,22 +148,23 @@ class GroupMergePlanner {
   double PiOf(SupernodeId canonical_id) const;
 
   void CollectFrozen(SupernodeId a, Local& out);
-  void BuildCanonical(uint32_t root, CanonicalView& out);
-  double ViewCost(const CanonicalView& view, double self_pi, double self_pi2,
-                  double superedge_bits) const;
+  // Re-maps the pairs of `root` through the local union-find into
+  // memo.canonical and memo's self pair.
+  void BuildCanonical(uint32_t root, MemoView& memo);
   // The memoized view of local root `root`, built on a miss. Entries are
   // invalidated (view_epoch_ bumped) by every local merge and at group
   // start — the only events that change a root's view or cost.
   const MemoView& View(uint32_t root, double superedge_bits);
   // Eqs. 10-11 for roots ra, rb; `superedge_bits` and `merged_bits` are
-  // 2 log2|S| for the current and the post-merge |S|. Leaves the merged
-  // view in view_m_.
+  // 2 log2|S| for the current and the post-merge |S|. Sums the merged
+  // supernode's cost straight from the two views without building its
+  // pair list.
   MergeEval EvaluateLocal(uint32_t ra, uint32_t rb, double superedge_bits,
                           double merged_bits);
-  // Stores the merged state (view_m_ + summed aggregates) on the winner
-  // root, retires the loser and invalidates every memoized view. Returns
-  // the winner root.
-  uint32_t MergeLocal(uint32_t ra, uint32_t rb);
+  // Folds the views of ra and rb into the merged pair list, stores it and
+  // the summed aggregates on the winner root, retires the loser and
+  // invalidates every memoized view. Returns the winner root.
+  uint32_t MergeLocal(uint32_t ra, uint32_t rb, double superedge_bits);
 
   const Graph& graph_;
   const SummaryGraph& summary_;
@@ -165,25 +172,29 @@ class GroupMergePlanner {
   MergeScore score_;
 
   std::vector<Local> locals_;
+  // True once the current group has merged; until then every view is an
+  // identity re-map of its Local (see MemoView).
+  bool group_merged_ = false;
 
-  // Stamped dense map over supernode ids:
-  // group_slot_: id -> local slot for the current group.
-  std::vector<uint32_t> group_slot_;
-  std::vector<uint32_t> group_slot_stamp_;
-  uint32_t group_stamp_ = 0;
+  // id -> local slot for the current group.
+  StampedSlots<IndexSlot> group_slot_;
   // This worker's own incident-aggregation scratch (the shared summary is
   // frozen while planners run, so aggregation must not touch the cost
   // model's scratch).
   IncidentScratch scratch_;
+  // EvaluateLocal's id -> index into the second view's pairs, and which
+  // of those pairs the first view shares.
+  StampedSlots<IndexSlot> pair_mark_;
+  std::vector<uint8_t> shared_;
 
   // Per-local-slot view memo. Grows to the largest group seen and keeps
   // its buffers across groups; a 64-bit epoch never wraps.
   std::vector<MemoView> views_;
   uint64_t view_epoch_ = 0;
 
-  // Reusable buffers for CollectFrozen/ComputeReselection/EvaluateLocal.
+  // Reusable buffers for CollectFrozen/ComputeReselection/MergeLocal.
   std::vector<IncidentPair> collect_buf_;
-  CanonicalView view_m_;
+  std::vector<IncidentPair> merged_ext_;
 };
 
 // Drives phases 1-4 over a shared summary/cost model. Construct once per

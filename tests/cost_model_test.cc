@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -113,6 +114,45 @@ TEST(CostModelTest, CollectIncidentEdgeCounts) {
   for (const auto& p : incident) counts[p.neighbor] = p.edge_count;
   EXPECT_EQ(counts[left], 3u);               // internal clique edges
   EXPECT_EQ(counts[s.supernode_of(3)], 1u);  // the bridge
+}
+
+TEST(CostModelTest, IncidentAggregationSurvivesEpochWrap) {
+  // The scratch's 32-bit epoch wraps after 2^32 aggregations, which one
+  // summarization of a ~100M-node graph reaches. Start two epochs short
+  // of the wrap and aggregate across it: every result must match a
+  // scratch that never wraps. Without clearing on wrap, epoch 0 would
+  // match every id not touched since, dropping it from the incident list.
+  Graph g = Fig3Graph();
+  SummaryGraph s = SummaryGraph::Identity(g);
+  auto w = PersonalWeights::Compute(g, {4}, 1.25);
+  s.MergeSupernodes(0, 1);
+  const std::vector<SupernodeId> active = s.ActiveSupernodes();
+
+  IncidentScratch fresh;
+  fresh.Resize(s.id_bound());
+  IncidentScratch wrapping;
+  wrapping.Resize(s.id_bound());
+  wrapping.slots.SetEpochForTesting(UINT32_MAX - 1);
+  std::vector<IncidentPair> want;
+  std::vector<IncidentPair> got;
+  for (int lap = 0; lap < 2; ++lap) {
+    for (SupernodeId a : active) {
+      SCOPED_TRACE(::testing::Message() << "lap " << lap << " supernode " << a
+                                        << " epoch "
+                                        << wrapping.slots.epoch());
+      CollectIncidentPairs(g, s, w, a, fresh, want);
+      CollectIncidentPairs(g, s, w, a, wrapping, got);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].neighbor, want[i].neighbor);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i].edge_weight),
+                  std::bit_cast<uint64_t>(want[i].edge_weight));
+        EXPECT_EQ(got[i].edge_count, want[i].edge_count);
+      }
+    }
+  }
+  // The laps crossed the wrap.
+  EXPECT_LT(wrapping.slots.epoch(), 2 * active.size());
 }
 
 TEST(CostModelTest, PairCostUniformWeights) {

@@ -6,6 +6,7 @@
 
 #include "src/util/bits.h"
 #include "src/util/rng.h"
+#include "src/util/stamped_slots.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
 
@@ -13,6 +14,39 @@ namespace pegasus {
 namespace {
 
 volatile double benchmark_sink = 0.0;
+
+TEST(StampedSlotsTest, NextEpochKillsEverySlot) {
+  StampedSlots<IndexSlot> slots;
+  slots.Resize(4);
+  for (size_t id = 0; id < 4; ++id) EXPECT_FALSE(slots.Live(id));
+  EXPECT_TRUE(slots.Claim(1));
+  EXPECT_FALSE(slots.Claim(1));
+  EXPECT_TRUE(slots.Live(1));
+  slots.NextEpoch();
+  EXPECT_FALSE(slots.Live(1));
+  EXPECT_TRUE(slots.Claim(1));
+}
+
+TEST(StampedSlotsTest, WrapNeitherRevivesStaleNorUntouchedSlots) {
+  // Slot 0 is claimed in the first lap at epoch 2. After the counter
+  // wraps, neither epoch 0 (the stamp of never-claimed slots) nor the
+  // second lap's epoch 2 may read any slot as live.
+  StampedSlots<IndexSlot> slots;
+  slots.Resize(4);
+  slots.NextEpoch();
+  ASSERT_EQ(slots.epoch(), 2u);
+  slots.Claim(0);
+  slots.SetEpochForTesting(UINT32_MAX - 1);
+  slots.NextEpoch();
+  slots.Claim(1);
+  EXPECT_TRUE(slots.Live(1));
+  slots.NextEpoch();  // wraps
+  EXPECT_NE(slots.epoch(), 0u);
+  for (size_t id = 0; id < 4; ++id) EXPECT_FALSE(slots.Live(id)) << id;
+  while (slots.epoch() < 2) slots.NextEpoch();
+  for (size_t id = 0; id < 4; ++id) EXPECT_FALSE(slots.Live(id)) << id;
+  EXPECT_TRUE(slots.Claim(0));
+}
 
 TEST(SplitMix64Test, Deterministic) {
   EXPECT_EQ(SplitMix64(42), SplitMix64(42));
