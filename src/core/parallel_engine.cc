@@ -15,7 +15,6 @@ GroupMergePlanner::GroupMergePlanner(const Graph& graph,
   const SupernodeId bound = summary.id_bound();
   group_slot_.Resize(bound);
   scratch_.Resize(bound);
-  pair_mark_.Resize(bound);
 }
 
 uint32_t GroupMergePlanner::FindRoot(uint32_t i) {
@@ -128,11 +127,13 @@ MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
   const double merged_pi = a.pi + b.pi;
   const double merged_pi2 = a.pi2 + b.pi2;
 
-  // Index b's neighbors, so a's pass finds the ones both views share.
-  pair_mark_.NextEpoch();
+  // Index b's neighbors so a's pass finds the ones both views share. The
+  // aggregation scratch is idle between folds and serves as the id ->
+  // index map: a live slot's count is the pair's index in vb.ext.
+  scratch_.NextEpoch();
   for (uint32_t j = 0; j < vb.ext.size(); ++j) {
-    pair_mark_.Claim(vb.ext[j].neighbor);
-    pair_mark_[vb.ext[j].neighbor].index = j;
+    scratch_.slots.Claim(vb.ext[j].neighbor);
+    scratch_.slots[vb.ext[j].neighbor].count = j;
   }
   shared_.assign(vb.ext.size(), 0);
 
@@ -153,8 +154,8 @@ MergeEval GroupMergePlanner::EvaluateLocal(uint32_t ra, uint32_t rb,
       continue;
     }
     double edge_weight = p.edge_weight;
-    if (pair_mark_.Live(p.neighbor)) {
-      const uint32_t j = pair_mark_[p.neighbor].index;
+    if (scratch_.slots.Live(p.neighbor)) {
+      const uint32_t j = scratch_.slots[p.neighbor].count;
       edge_weight += vb.ext[j].edge_weight;
       shared_[j] = 1;
     }

@@ -182,9 +182,7 @@ class GroupMergePlanner {
   // frozen while planners run, so aggregation must not touch the cost
   // model's scratch).
   IncidentScratch scratch_;
-  // EvaluateLocal's id -> index into the second view's pairs, and which
-  // of those pairs the first view shares.
-  StampedSlots<IndexSlot> pair_mark_;
+  // Which of the second view's pairs EvaluateLocal's first view shares.
   std::vector<uint8_t> shared_;
 
   // Per-local-slot view memo. Grows to the largest group seen and keeps

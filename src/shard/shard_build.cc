@@ -19,6 +19,10 @@
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace pegasus::shard {
 
 namespace {
@@ -36,6 +40,17 @@ Status EnsureDir(const std::string& path) {
     return Status::Ok();
   }
   return Status::DataLoss("cannot create directory " + path);
+}
+
+// Hands the pages a finished build freed back to the OS. Each machine
+// task allocates from its executor thread's malloc arena, and glibc keeps
+// an arena's free pages resident after the thread exits: without this, a
+// process that has built Skitter* small into 4 shards keeps tens of MiB of
+// dead planner state, an amount that varies with thread timing.
+void ReleaseFreedMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
 }
 
 // Summarizes every part of `partition` and hands machine i's summary to
@@ -261,12 +276,11 @@ StatusOr<ShardBuildResult> ShardBuild(const Graph& graph,
     manifest.shards[i] = ShardEntry{rel, *checksum};
     return Status::Ok();
   };
-  if (Status s = ForEachShardSummary(graph, result.partition,
-                                     options.ratio * graph.SizeInBits(),
-                                     options.config, write_shard);
-      !s) {
-    return s;
-  }
+  const Status built = ForEachShardSummary(
+      graph, result.partition, options.ratio * graph.SizeInBits(),
+      options.config, write_shard);
+  ReleaseFreedMemory();
+  if (!built) return built;
   result.manifest_path = out_dir + "/" + kManifestFileName;
   if (Status s = SaveManifest(manifest, result.manifest_path); !s) return s;
   result.build_seconds = timer.ElapsedSeconds();

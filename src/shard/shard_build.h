@@ -95,8 +95,10 @@ struct ShardBuildResult {
 
 // The full pipeline: partition, summarize every shard, write
 // out_dir/shard_NNN.psb and out_dir/manifest.psm. `out_dir` is created
-// if missing (one level). Errors: kInvalidArgument for bad options,
-// summarizer errors per machine, kDataLoss on write failure.
+// if missing (one level). Once the machines finish, the heap pages they
+// freed go back to the OS (glibc), so the build leaves no dead planner
+// state resident. Errors: kInvalidArgument for bad options, summarizer
+// errors per machine, kDataLoss on write failure.
 [[nodiscard]] StatusOr<ShardBuildResult> ShardBuild(
     const Graph& graph, const std::string& out_dir,
     const ShardBuildOptions& options);
