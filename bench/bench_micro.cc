@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the core operations: BFS,
 // personalized-weight computation, shingle grouping, merge evaluation and
-// application, error evaluation, and summary-graph query answering.
+// application, error evaluation, summary-graph query answering, and the
+// per-request cost of a cached whole-graph text answer.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/candidate_groups.h"
 #include "src/core/cost_model.h"
@@ -18,6 +21,8 @@
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
 #include "src/query/summary_queries.h"
+#include "src/serve/query_service.h"
+#include "src/serve/text_serving.h"
 #include "src/util/rng.h"
 
 namespace pegasus {
@@ -189,6 +194,57 @@ void BM_ExactRwr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactRwr);
+
+// A service over a Skitter* `default` summary (100 sampled targets, ratio
+// 0.3: the serve-point set-up), built once for every BM_AnswerCachedText
+// variant.
+QueryService& CachedTextService() {
+  static QueryService* service = [] {
+    const Graph g =
+        MakeDataset(DatasetId::kSkitter, DatasetScale::kDefault).graph;
+    Rng rng(1);
+    std::vector<NodeId> targets;
+    for (uint64_t t : rng.SampleDistinct(g.num_nodes(), 100)) {
+      targets.push_back(static_cast<NodeId>(t));
+    }
+    PegasusConfig config;
+    config.num_threads = 0;
+    return new QueryService(
+        SummarizeGraphToRatio(g, targets, 0.3, config)->summary);
+  }();
+  return *service;
+}
+
+// One cached pagerank request answered as reply text, top 10. Arg 0 is the
+// socket path (AnswerText: formats from the shared scores and their
+// memoized ranking); arg 1 is the in-process reference (Answer, which
+// copies the n cached scores, then FormatBatchResponse, which ranks them).
+void BM_AnswerCachedText(benchmark::State& state) {
+  QueryService& service = CachedTextService();
+  const std::vector<QueryRequest> requests{
+      {QueryKind::kPageRank, 0, kQueryParamUseDefault, true, {}}};
+  constexpr size_t kTop = 10;
+  const bool reference = state.range(0) == 1;
+  const auto warm = service.AnswerText(requests, kTop);  // fills the cache
+  if (!warm.ok()) {
+    state.SkipWithError(warm.status().ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    std::string body;
+    if (reference) {
+      auto batch = service.Answer(requests);
+      body = serve::FormatBatchResponse(requests, *batch, kTop);
+    } else {
+      body = *service.AnswerText(requests, kTop);
+    }
+    benchmark::DoNotOptimize(body.data());
+  }
+  state.SetLabel(reference ? "Answer+FormatBatchResponse" : "AnswerText");
+  state.counters["nodes"] =
+      static_cast<double>(service.view()->num_nodes());
+}
+BENCHMARK(BM_AnswerCachedText)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pegasus

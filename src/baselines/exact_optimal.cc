@@ -86,6 +86,7 @@ void RepairToBudget(const Graph& graph, const PersonalWeights& weights,
   }
   // Total order (ties by superedge id): the drop sequence is independent
   // of enumeration order and of the stdlib's sort implementation.
+  // lint: sort-order-ok(total order: damage, then superedge id)
   std::sort(scored.begin(), scored.end(),
             [](const Scored& x, const Scored& y) {
               if (x.damage != y.damage) return x.damage < y.damage;

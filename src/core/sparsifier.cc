@@ -68,6 +68,7 @@ uint64_t SparsifyToBudget(const Graph& graph, CostModel& cost,
   // Total order: ties on score break by superedge id, so the drop
   // sequence (and with it the final summary) is independent of both the
   // candidate enumeration order and the stdlib's sort implementation.
+  // lint: sort-order-ok(total order: score, then superedge id)
   std::sort(scored.begin(), scored.end(),
             [](const Scored& x, const Scored& y) {
               if (x.score != y.score) return x.score < y.score;

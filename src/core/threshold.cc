@@ -24,6 +24,7 @@ void ThresholdPolicy::EndIteration(int next_t) {
     size_t k = static_cast<size_t>(beta_ * static_cast<double>(failures_.size()));
     k = std::clamp<size_t>(k, 1, failures_.size());
     // k-th largest == element at index k-1 of the descending order.
+    // lint: sort-order-ok(plain doubles: tied elements are equal values)
     std::nth_element(failures_.begin(),
                      failures_.begin() + static_cast<ptrdiff_t>(k - 1),
                      failures_.end(), std::greater<double>());

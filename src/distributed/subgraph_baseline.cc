@@ -42,6 +42,7 @@ SubgraphCluster SubgraphCluster::Build(const Graph& graph,
         }
       }
     }
+    // lint: sort-order-ok(stable sort: ties keep ascending edge order)
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const Ranked& a, const Ranked& b) {
                        return a.rank < b.rank;

@@ -6,6 +6,8 @@
 #include <iterator>
 #include <numeric>
 
+#include "src/util/ranking.h"
+
 namespace pegasus {
 
 double Smape(const std::vector<double>& truth,
@@ -24,6 +26,7 @@ std::vector<double> AverageRanks(const std::vector<double>& values) {
   const size_t n = values.size();
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
+  // lint: sort-order-ok(tied values share one averaged rank below)
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return values[a] < values[b]; });
   std::vector<double> ranks(n);
@@ -76,21 +79,16 @@ double PrecisionAtK(const std::vector<double>& truth,
   // clamp below would drive the final division to 0/0 = NaN).
   if (k == 0 || truth.empty()) return 1.0;
   k = std::min(k, truth.size());
+  // Top-k sets under the shared ranking order, so a tie across the k-th
+  // place resolves by ascending id, not by the sort algorithm.
   auto top_k = [&](const std::vector<double>& values) {
-    std::vector<size_t> order(values.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<ptrdiff_t>(k), order.end(),
-                      [&](size_t a, size_t b) {
-                        return values[a] > values[b];
-                      });
-    order.resize(k);
-    std::sort(order.begin(), order.end());
-    return order;
+    std::vector<uint32_t> ids = TopK(ScoreRank{values}, k);
+    std::sort(ids.begin(), ids.end());
+    return ids;
   };
-  const std::vector<size_t> t = top_k(truth);
-  const std::vector<size_t> a = top_k(approx);
-  std::vector<size_t> common;
+  const std::vector<uint32_t> t = top_k(truth);
+  const std::vector<uint32_t> a = top_k(approx);
+  std::vector<uint32_t> common;
   std::set_intersection(t.begin(), t.end(), a.begin(), a.end(),
                         std::back_inserter(common));
   return static_cast<double>(common.size()) / static_cast<double>(k);

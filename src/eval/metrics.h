@@ -33,8 +33,9 @@ std::vector<double> AverageRanks(const std::vector<double>& values);
 
 // Precision@k: the fraction of the true top-k entries (by value,
 // descending) that also appear in the approximate top-k. Standard measure
-// for ranking-oriented similarity queries (e.g., top-k RWR). Returns 1
-// for k = 0; k is capped at the vector length.
+// for ranking-oriented similarity queries (e.g., top-k RWR). A tie
+// across the k-th place keeps the lower ids (src/util/ranking.h). Returns
+// 1 for k = 0; k is capped at the vector length.
 double PrecisionAtK(const std::vector<double>& truth,
                     const std::vector<double>& approx, std::size_t k);
 

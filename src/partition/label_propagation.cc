@@ -62,7 +62,12 @@ Partition BlpPartition(const Graph& graph, uint32_t num_parts,
         auto by_gain = [](const Wish& a, const Wish& b) {
           return a.gain > b.gain;
         };
+        // Equal gains keep the library's order for now: a tie-break by
+        // node id moves the partition goldens and the shard routing, so it
+        // gets its own change (ROADMAP.md item 2, partitioner sites).
+        // lint: sort-order-ok(partitioner tie-break follow-up)
         std::sort(pq.begin(), pq.end(), by_gain);
+        // lint: sort-order-ok(partitioner tie-break follow-up)
         std::sort(qp.begin(), qp.end(), by_gain);
         for (size_t i = 0; i < k; ++i) {
           partition.part_of[pq[i].node] = q;

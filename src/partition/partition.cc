@@ -77,6 +77,10 @@ Partition PackIntoParts(const std::vector<uint32_t>& labels,
 
   std::vector<uint32_t> order(num_labels);
   std::iota(order.begin(), order.end(), 0);
+  // Equal label sizes keep the library's order for now: a tie-break by
+  // label moves the partition goldens and the shard routing, so it gets
+  // its own change (ROADMAP.md item 2, partitioner sites).
+  // lint: sort-order-ok(partitioner tie-break follow-up)
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return label_size[a] > label_size[b];
   });

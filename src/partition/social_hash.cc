@@ -73,7 +73,12 @@ bool ExecuteMatched(Partition& partition, uint32_t num_parts,
       auto& qp = by_dest[q][p];
       size_t k = std::min(pq.size(), qp.size());
       if (k == 0) continue;
+      // Equal gains keep the library's order for now: a tie-break by node
+      // id moves the partition goldens and the shard routing, so it gets
+      // its own change (ROADMAP.md item 2, partitioner sites).
+      // lint: sort-order-ok(partitioner tie-break follow-up)
       std::sort(pq.begin(), pq.end(), by_gain);
+      // lint: sort-order-ok(partitioner tie-break follow-up)
       std::sort(qp.begin(), qp.end(), by_gain);
       for (size_t i = 0; i < k; ++i) {
         if (probabilistic) {

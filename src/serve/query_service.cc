@@ -8,6 +8,8 @@
 #include "src/core/dynamic_summary.h"
 #include "src/core/summary_arena.h"
 #include "src/core/summary_io.h"
+#include "src/serve/text_serving.h"
+#include "src/util/ranking.h"
 
 namespace pegasus {
 namespace serve {
@@ -45,7 +47,7 @@ size_t GlobalResultCache::KeyHash::operator()(const Key& key) const {
   return static_cast<size_t>(h);
 }
 
-std::shared_ptr<const std::vector<double>> GlobalResultCache::GetOrCompute(
+std::shared_ptr<const CachedScores> GlobalResultCache::GetOrCompute(
     const Key& key, const std::function<std::vector<double>()>& compute) {
   std::shared_ptr<Entry> entry;
   {
@@ -69,11 +71,16 @@ std::shared_ptr<const std::vector<double>> GlobalResultCache::GetOrCompute(
     }
     entry = it->second.entry;
   }
-  // Exactly-once compute outside the map lock: concurrent callers of the
-  // same key block here until the first one publishes the value; callers
-  // of other keys proceed in parallel.
+  // Exactly-once compute and ranking outside the map lock: concurrent
+  // callers of the same key block here until the first one publishes the
+  // value; callers of other keys proceed in parallel.
   std::call_once(entry->once, [&] {
-    entry->value = std::make_shared<const std::vector<double>>(compute());
+    auto value = std::make_shared<CachedScores>();
+    value->scores = compute();
+    value->ranking = RankAll(ScoreRank{value->scores});
+    entry->value = std::move(value);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++rankings_;
   });
   return entry->value;
 }
@@ -108,6 +115,11 @@ uint64_t GlobalResultCache::evictions() const {
   return evictions_;
 }
 
+uint64_t GlobalResultCache::rankings() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rankings_;
+}
+
 size_t GlobalResultCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
@@ -129,21 +141,24 @@ StatusOr<std::vector<QueryRequest>> CanonicalizeBatch(
 
 namespace {
 
-// The batch executor behind QueryService::Answer. `requests` must be
-// canonical. Global queries are resolved through `cache` under `epoch`;
-// node-level queries fan out over `pool` in cost-aware units (see
-// query_service.h). Iterative kernels draw working memory from
-// `scratch` — one lease per executor unit, so steady-state serving
-// allocates nothing per query. Deterministic: results are written to
+// The batch executor behind QueryService::Answer and AnswerText.
+// `requests` must be canonical. Global queries are resolved through
+// `cache` under `epoch`; then `answer(i, cached, scratch)` runs once per
+// request, fanned out over `pool` in cost-aware units (see
+// query_service.h), with `cached` the cache entry of a global request and
+// nullptr for a node-level one. Iterative kernels draw working memory
+// from `scratch` — one lease per executor unit, so steady-state serving
+// allocates nothing per query. Deterministic: `answer` writes to
 // index-addressed slots, so the output is byte-identical for every
 // worker count.
-std::vector<QueryResult> RunCanonicalBatch(
-    const SummaryView& view, const std::vector<QueryRequest>& requests,
-    Executor& pool, GlobalResultCache& cache, uint64_t epoch,
-    KernelScratchPool& scratch) {
+template <typename PerAnswer>
+void RunCanonicalBatch(const SummaryView& view,
+                       const std::vector<QueryRequest>& requests,
+                       Executor& pool, GlobalResultCache& cache,
+                       uint64_t epoch, KernelScratchPool& scratch,
+                       const PerAnswer& answer) {
   const size_t n = requests.size();
-  std::vector<QueryResult> results(n);
-  if (n == 0) return results;
+  if (n == 0) return;
 
   // Phase 1 — classify, and resolve whole-graph queries through the
   // cache. Distinct keys are collected in first-appearance order and
@@ -163,7 +178,7 @@ std::vector<QueryResult> RunCanonicalBatch(
       if (requests[i].kind == QueryKind::kNeighbors) ++num_cheap;
       continue;
     }
-    ++num_cheap;  // a cached-global copy-out is cheap work
+    ++num_cheap;  // an answer from the cache is cheap work
     const auto key = GlobalResultCache::MakeKey(epoch, requests[i]);
     auto [it, inserted] = key_index.try_emplace(key, keys.size());
     if (inserted) {
@@ -173,8 +188,7 @@ std::vector<QueryResult> RunCanonicalBatch(
     if (request_key.empty()) request_key.assign(n, -1);
     request_key[i] = static_cast<int64_t>(it->second);
   }
-  std::vector<std::shared_ptr<const std::vector<double>>> key_values(
-      keys.size());
+  std::vector<std::shared_ptr<const CachedScores>> key_values(keys.size());
   if (!keys.empty()) {
     pool.ParallelFor(
         keys.size(), /*grain=*/1,
@@ -190,16 +204,15 @@ std::vector<QueryResult> RunCanonicalBatch(
   }
 
   const auto answer_one = [&](size_t i, KernelScratch* sc) {
-    if (!request_key.empty() && request_key[i] >= 0) {
-      results[i].kind = requests[i].kind;
-      results[i].scores = *key_values[static_cast<size_t>(request_key[i])];
-    } else {
-      results[i] = AnswerQuery(view, requests[i], sc);
-    }
+    const bool cached = !request_key.empty() && request_key[i] >= 0;
+    answer(i,
+           cached ? key_values[static_cast<size_t>(request_key[i])].get()
+                  : nullptr,
+           sc);
   };
 
   // Phase 2 — cost-aware fan-out. Cheap O(deg)-per-answer work
-  // (neighbors, cached-global copy-outs) is chunked up to
+  // (neighbors, answers from the cache) is chunked up to
   // kDefaultCheapGrain requests per unit so dispatch amortizes;
   // everything else (iterative families, hop BFS) is one request per
   // unit. Homogeneous batches are
@@ -213,7 +226,7 @@ std::vector<QueryResult> RunCanonicalBatch(
                          answer_one(i, lease.get());
                        }
                      });
-    return results;
+    return;
   }
 
   // Mixed batch: units are contiguous request-index ranges
@@ -252,7 +265,6 @@ std::vector<QueryResult> RunCanonicalBatch(
           }
         }
       });
-  return results;
 }
 
 }  // namespace
@@ -319,8 +331,9 @@ QueryService::Snapshot QueryService::CurrentSnapshot() const {
   return {view_, epoch_};
 }
 
-StatusOr<QueryService::BatchResult> QueryService::Answer(
-    const std::vector<QueryRequest>& requests) {
+template <typename PerAnswer>
+StatusOr<uint64_t> QueryService::RunBatch(
+    const std::vector<QueryRequest>& requests, const PerAnswer& answer) {
   const Snapshot snap = CurrentSnapshot();
   if (!snap.view) {
     return Status::FailedPrecondition(
@@ -329,8 +342,6 @@ StatusOr<QueryService::BatchResult> QueryService::Answer(
   auto canonical = serve::CanonicalizeBatch(requests, snap.view->num_nodes());
   if (!canonical) return canonical.status();
 
-  BatchResult out;
-  out.epoch = snap.epoch;
   // Concurrent batches overlap: each RunCanonicalBatch is an independent
   // Executor submission, and every batch answers against the snapshot it
   // captured above, so a Publish landing mid-flight never mixes epochs
@@ -346,10 +357,51 @@ StatusOr<QueryService::BatchResult> QueryService::Answer(
          !max_inflight_batches_.compare_exchange_weak(
              high, inflight, std::memory_order_relaxed)) {
   }
-  out.results = serve::RunCanonicalBatch(*snap.view, *canonical, pool_,
-                                         cache_, snap.epoch, scratch_pool_);
+  const SummaryView& view = *snap.view;
+  serve::RunCanonicalBatch(
+      view, *canonical, pool_, cache_, snap.epoch, scratch_pool_,
+      [&](size_t i, const serve::CachedScores* cached, KernelScratch* sc) {
+        answer(view, (*canonical)[i], i, cached, sc);
+      });
   inflight_batches_.fetch_sub(1, std::memory_order_relaxed);
+  return snap.epoch;
+}
+
+StatusOr<QueryService::BatchResult> QueryService::Answer(
+    const std::vector<QueryRequest>& requests) {
+  BatchResult out;
+  out.results.resize(requests.size());
+  auto epoch = RunBatch(
+      requests, [&](const SummaryView& view, const QueryRequest& request,
+                    size_t i, const serve::CachedScores* cached,
+                    KernelScratch* sc) {
+        QueryResult& result = out.results[i];
+        if (cached != nullptr) {
+          result.kind = request.kind;
+          result.scores = cached->scores;
+        } else {
+          result = AnswerQuery(view, request, sc);
+        }
+      });
+  if (!epoch) return epoch.status();
+  out.epoch = *epoch;
   return out;
+}
+
+StatusOr<std::string> QueryService::AnswerText(
+    const std::vector<QueryRequest>& requests, size_t top) {
+  std::vector<std::string> lines(requests.size());
+  auto epoch = RunBatch(
+      requests, [&](const SummaryView& view, const QueryRequest& request,
+                    size_t i, const serve::CachedScores* cached,
+                    KernelScratch* sc) {
+        lines[i] = cached != nullptr
+                       ? serve::FormatCachedAnswer(request, *cached, top)
+                       : serve::FormatAnswer(
+                             request, AnswerQuery(view, request, sc), top);
+      });
+  if (!epoch) return epoch.status();
+  return serve::JoinBatchResponse(lines, *epoch);
 }
 
 QueryService::ServingStats QueryService::serving_stats() const {
@@ -374,16 +426,16 @@ StatusOr<QueryResult> QueryService::AnswerOne(const QueryRequest& request) {
   const auto key = serve::GlobalResultCache::MakeKey(snap.epoch, *canon);
   QueryResult result;
   result.kind = canon->kind;
-  result.scores = *cache_.GetOrCompute(key, [&] {
+  result.scores = cache_.GetOrCompute(key, [&] {
     const KernelScratchPool::Lease lease = scratch_pool_.Acquire();
     return AnswerQuery(*snap.view, *canon, lease.get()).scores;
-  });
+  })->scores;
   return result;
 }
 
 QueryService::CacheStats QueryService::cache_stats() const {
   return {cache_.hits(), cache_.computations(), cache_.evictions(),
-          cache_.size()};
+          cache_.rankings(), cache_.size()};
 }
 
 }  // namespace pegasus

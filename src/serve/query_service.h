@@ -11,8 +11,11 @@
 //     it), and
 //   * a global-result cache keyed by (epoch, kind, canonical parameters)
 //     so whole-graph families — degree, PageRank, clustering — are
-//     computed at most once per epoch per parameterization regardless of
-//     batch composition, then served by copy. The cache is bounded
+//     computed, and ranked (src/util/ranking.h), at most once per epoch
+//     per parameterization regardless of batch composition. Answer()
+//     copies the shared scores into its QueryResult; AnswerText() formats
+//     reply lines straight from the shared scores and ranking, so a
+//     cached request costs O(top), not O(n). The cache is bounded
 //     (Options::cache_capacity, LRU eviction) so a parameter-sweeping
 //     client cannot grow it without limit within an epoch.
 //
@@ -27,7 +30,7 @@
 //
 // Cost-aware scheduling: the batch executor fans requests over the pool
 // in *units*. Cheap O(deg)-per-answer work — neighbors queries and
-// copy-outs of cached global results — is chunked kDefaultCheapGrain
+// answers served from cached global results — is chunked kDefaultCheapGrain
 // requests per unit so dispatch overhead amortizes across many requests;
 // iterative families (rwr/php/pagerank) and hop BFS stay at one request
 // per unit so a single expensive query never serializes a chunk of cheap
@@ -54,6 +57,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -80,13 +84,21 @@ inline constexpr size_t kDefaultCheapGrain = 16;
 // the cache without limit within one epoch.
 inline constexpr size_t kDefaultCacheCapacity = 64;
 
+// One cached whole-graph answer: its scores and every node id ranked by
+// ScoreRank (score descending, then id ascending), so any top-K list is a
+// prefix of `ranking`.
+struct CachedScores {
+  std::vector<double> scores;
+  std::vector<NodeId> ranking;
+};
+
 // Thread-safe, capacity-bounded (LRU) cache of whole-graph query
-// results. Each key is computed exactly once per *residency* — at most
-// once per key while the key stays cached (std::call_once per entry) no
-// matter how many threads ask concurrently; a key evicted by the LRU
-// bound and requested again is recomputed. Values are immutable and
-// shared by pointer, so eviction never invalidates an answer already
-// being computed or copied out.
+// results. Each key is computed and ranked exactly once per *residency*
+// — at most once per key while the key stays cached (std::call_once per
+// entry) no matter how many threads ask concurrently; a key evicted by
+// the LRU bound and requested again is recomputed. Values are immutable
+// and shared by pointer, so eviction never invalidates an answer already
+// being computed, copied out or formatted.
 class GlobalResultCache {
  public:
   // capacity = 0 means unbounded; otherwise at most `capacity` entries
@@ -110,9 +122,10 @@ class GlobalResultCache {
   // Key for a canonical (CanonicalizeRequest) whole-graph request.
   static Key MakeKey(uint64_t epoch, const QueryRequest& canonical);
 
-  // Returns the scores for `key`, running `compute` exactly once per key
-  // across all threads; later callers block until the value is ready.
-  std::shared_ptr<const std::vector<double>> GetOrCompute(
+  // Returns the scores for `key` and their ranking, running `compute`
+  // and the ranking exactly once per key across all threads; later
+  // callers block until the value is ready.
+  std::shared_ptr<const CachedScores> GetOrCompute(
       const Key& key, const std::function<std::vector<double>()>& compute);
 
   // Drops every entry whose epoch differs from `epoch` (called on
@@ -122,13 +135,14 @@ class GlobalResultCache {
   uint64_t hits() const;          // lookups served from an existing entry
   uint64_t computations() const;  // entries ever created (== cache misses)
   uint64_t evictions() const;     // entries dropped by the capacity bound
+  uint64_t rankings() const;      // full rankings computed
   size_t size() const;            // live entries
   size_t capacity() const { return capacity_; }
 
  private:
   struct Entry {
     std::once_flag once;
-    std::shared_ptr<const std::vector<double>> value;
+    std::shared_ptr<const CachedScores> value;
   };
   struct Slot {
     std::shared_ptr<Entry> entry;
@@ -142,6 +156,7 @@ class GlobalResultCache {
   uint64_t hits_ = 0;
   uint64_t computations_ = 0;
   uint64_t evictions_ = 0;
+  uint64_t rankings_ = 0;
 };
 
 // Canonicalizes every request (CanonicalizeRequest) or fails with the
@@ -211,6 +226,16 @@ class QueryService {
   [[nodiscard]]
   StatusOr<BatchResult> Answer(const std::vector<QueryRequest>& requests);
 
+  // Answers like Answer() and returns the socket batch-response body,
+  // byte-identical to serve::FormatBatchResponse(requests, *Answer(requests),
+  // top) against the same epoch: each unit writes its request's reply
+  // line into an index-addressed slot. A whole-graph request is formatted
+  // from the cached scores and a prefix of their cached ranking, with no
+  // n-sized copy; a node-level answer is ranked and dropped by the unit
+  // that computed it. Same errors as Answer().
+  [[nodiscard]] StatusOr<std::string> AnswerText(
+      const std::vector<QueryRequest>& requests, size_t top);
+
   // Single-request convenience; same validation, no pool dispatch (global
   // families still go through the cache).
   [[nodiscard]] StatusOr<QueryResult> AnswerOne(const QueryRequest& request);
@@ -219,14 +244,16 @@ class QueryService {
     uint64_t hits = 0;
     uint64_t computations = 0;
     uint64_t evictions = 0;  // dropped by the capacity bound (LRU)
+    uint64_t rankings = 0;   // full rankings computed (one per computation)
     size_t entries = 0;      // live entries right now
   };
   CacheStats cache_stats() const;
 
   struct ServingStats {
-    int inflight_batches = 0;       // Answer() calls currently executing
+    // Answer() and AnswerText() calls alike.
+    int inflight_batches = 0;       // batches currently executing
     int max_inflight_batches = 0;   // high-water mark since construction
-    uint64_t total_batches = 0;     // Answer() calls ever admitted
+    uint64_t total_batches = 0;     // batches ever admitted
   };
   ServingStats serving_stats() const;
 
@@ -238,6 +265,16 @@ class QueryService {
     uint64_t epoch = 0;
   };
   Snapshot CurrentSnapshot() const;
+
+  // The pipeline Answer() and AnswerText() share: validates and
+  // canonicalizes `requests` against one snapshot, then runs
+  // `answer(view, canonical_request, i, cached, scratch)` for every
+  // request over the executor (`cached` is the cache entry of a
+  // whole-graph request, nullptr for a node-level one). Returns the
+  // served epoch.
+  template <typename PerAnswer>
+  StatusOr<uint64_t> RunBatch(const std::vector<QueryRequest>& requests,
+                              const PerAnswer& answer);
 
   const Options options_;
   Executor pool_;

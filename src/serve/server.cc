@@ -251,9 +251,9 @@ Status Server::HandleBatch(const std::string& body, Connection& conn,
   if (!requests) return requests.status();
   BatchTicket ticket(*this, conn, requests->size());
   if (!ticket.ok()) return ticket.status();
-  auto batch = service_.Answer(*requests);
-  if (!batch) return batch.status();
-  *response = FormatBatchResponse(*requests, *batch, options_.top);
+  auto text = service_.AnswerText(*requests, options_.top);
+  if (!text) return text.status();
+  *response = *std::move(text);
   return Status::Ok();
 }
 

@@ -4,9 +4,9 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
-#include <numeric>
 #include <sstream>
+
+#include "src/util/ranking.h"
 
 namespace pegasus::serve {
 
@@ -23,6 +23,17 @@ void AppendFormat(std::string& out, const char* fmt, ...) {
   va_end(ap);
   if (len > 0) out.append(buf, std::min<size_t>(static_cast<size_t>(len),
                                                 sizeof(buf) - 1));
+}
+
+// " id(score)" for each of `ranked`, then the line's '\n'.
+void AppendScored(std::string& out, const std::vector<double>& scores,
+                  std::span<const NodeId> ranked) {
+  for (NodeId id : ranked) AppendFormat(out, " %u(%.6g)", id, scores[id]);
+  out += '\n';
+}
+
+void AppendEpoch(std::string& out, uint64_t epoch) {
+  AppendFormat(out, "epoch %llu\n", static_cast<unsigned long long>(epoch));
 }
 
 }  // namespace
@@ -110,37 +121,27 @@ std::string FormatAnswer(const QueryRequest& request,
     return out;
   }
 
-  // Rank by score; hop distances rank ascending with unreachable nodes
-  // strictly last (-inf), never tied with real 1-hop neighbors.
-  std::vector<double> scores;
   if (request.kind == QueryKind::kHop) {
-    scores.reserve(result.hops.size());
-    for (uint32_t h : result.hops) {
-      scores.push_back(h == UINT32_MAX
-                           ? -std::numeric_limits<double>::infinity()
-                           : -static_cast<double>(h));
-    }
-  } else {
-    scores = result.scores;
-  }
-  std::vector<NodeId> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  const size_t k = std::min(top, order.size());
-  std::partial_sort(order.begin(), order.begin() + static_cast<ptrdiff_t>(k),
-                    order.end(),
-                    [&](NodeId a, NodeId b) { return scores[a] > scores[b]; });
-  for (size_t i = 0; i < k; ++i) {
-    if (request.kind == QueryKind::kHop) {
-      if (result.hops[order[i]] == UINT32_MAX) {
-        AppendFormat(out, " %u(unreachable)", order[i]);
+    for (NodeId id : TopK(HopRank{result.hops}, top)) {
+      if (result.hops[id] == UINT32_MAX) {
+        AppendFormat(out, " %u(unreachable)", id);
       } else {
-        AppendFormat(out, " %u(%u)", order[i], result.hops[order[i]]);
+        AppendFormat(out, " %u(%u)", id, result.hops[id]);
       }
-    } else {
-      AppendFormat(out, " %u(%.6g)", order[i], scores[order[i]]);
     }
+    out += '\n';
+    return out;
   }
-  out += '\n';
+  AppendScored(out, result.scores, TopK(ScoreRank{result.scores}, top));
+  return out;
+}
+
+std::string FormatCachedAnswer(const QueryRequest& request,
+                               const CachedScores& cached, size_t top) {
+  std::string out;
+  AppendFormat(out, "%s:", QueryKindName(request.kind));
+  const size_t k = std::min(top, cached.ranking.size());
+  AppendScored(out, cached.scores, {cached.ranking.data(), k});
   return out;
 }
 
@@ -151,8 +152,15 @@ std::string FormatBatchResponse(const std::vector<QueryRequest>& requests,
   for (size_t i = 0; i < requests.size(); ++i) {
     out += FormatAnswer(requests[i], batch.results[i], top);
   }
-  AppendFormat(out, "epoch %llu\n",
-               static_cast<unsigned long long>(batch.epoch));
+  AppendEpoch(out, batch.epoch);
+  return out;
+}
+
+std::string JoinBatchResponse(const std::vector<std::string>& lines,
+                              uint64_t epoch) {
+  std::string out;
+  for (const std::string& line : lines) out += line;
+  AppendEpoch(out, epoch);
   return out;
 }
 

@@ -7,11 +7,28 @@
 // This header is the single definition of that grammar's parser and of
 // the answer formatting, so a batch answered over a socket is
 // byte-identical to the same batch answered over stdin.
+//
+// Ranking order. Every ranked line lists ids in one total order
+// (src/util/ranking.h): score descending, then id ascending; for hop,
+// distance ascending with unreachable ids strictly last, then id
+// ascending. Ties are everywhere (members of one supernode share a
+// score, hop distances tie by nature), so the order among them — and,
+// at a tie across the K-th place, which ids print at all — is fixed by
+// the id rather than by the standard library's sort.
+//
+// Cached answers. Whole-graph families (degree, pagerank, clustering)
+// are computed once per epoch into the service's global-result cache,
+// together with their full ranking. The socket path
+// (QueryService::AnswerText) formats those answers straight from the
+// shared scores and a prefix of the shared ranking: nothing n-sized is
+// copied or ranked per request. FormatAnswer over a QueryResult ranks
+// with a bounded top-K pass and prints the same bytes.
 
 #ifndef PEGASUS_SERVE_TEXT_SERVING_H_
 #define PEGASUS_SERVE_TEXT_SERVING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,11 +53,18 @@ Status ParseQueryLine(const std::string& line, QueryRequest* request);
 StatusOr<std::vector<QueryRequest>> ParseBatchText(const std::string& text,
                                                    NodeId num_nodes);
 
-// One answer line (terminated by '\n'): the top-K nodes by score for
-// scored families, hop counts for hop (unreachable strictly last), the
-// first K ids for neighbors. Identical to what `pegasus serve` prints.
+// One answer line (terminated by '\n'): the top-K nodes in ranking order
+// with their scores for scored families, with their hop counts for hop,
+// and the first K ids for neighbors. Identical to what `pegasus serve`
+// prints.
 std::string FormatAnswer(const QueryRequest& request,
                          const QueryResult& result, size_t top);
+
+// The FormatAnswer line of a whole-graph request served from the
+// global-result cache, formatted from the shared scores and the first K
+// ids of their memoized ranking.
+std::string FormatCachedAnswer(const QueryRequest& request,
+                               const CachedScores& cached, size_t top);
 
 // The socket batch-response body: one FormatAnswer line per request in
 // request order, then "epoch <E>\n". Deterministic — no timing line — so
@@ -48,6 +72,10 @@ std::string FormatAnswer(const QueryRequest& request,
 std::string FormatBatchResponse(const std::vector<QueryRequest>& requests,
                                 const QueryService::BatchResult& batch,
                                 size_t top);
+
+// The same body from lines already formatted in request order.
+std::string JoinBatchResponse(const std::vector<std::string>& lines,
+                              uint64_t epoch);
 
 // The `stats` directive body shared by stdin and socket serving: epoch,
 // global-result cache counters, and the in-flight batch counters that

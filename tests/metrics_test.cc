@@ -117,6 +117,23 @@ TEST(PrecisionAtKTest, PartialOverlap) {
   EXPECT_DOUBLE_EQ(PrecisionAtK(truth, approx, 3), 2.0 / 3.0);
 }
 
+// A tie across the k-th place keeps the lower ids, so the top-k set (and
+// the precision) is fixed by the data, not by the sort algorithm.
+TEST(PrecisionAtKTest, TieAcrossKthPlaceKeepsLowerIds) {
+  // truth's top-2: id 0, then one of the tied ids 1..3 — id 1.
+  const std::vector<double> truth{5, 3, 3, 3, 1};
+  EXPECT_DOUBLE_EQ(PrecisionAtK(truth, {5, 3, 0, 0, 1}, 2), 1.0);
+  EXPECT_DOUBLE_EQ(PrecisionAtK(truth, {5, 0, 3, 0, 1}, 2), 0.5);
+  EXPECT_DOUBLE_EQ(PrecisionAtK(truth, {5, 0, 0, 3, 1}, 2), 0.5);
+  // Both sides tied the same way pick the same ids.
+  EXPECT_DOUBLE_EQ(PrecisionAtK(truth, truth, 2), 1.0);
+  EXPECT_DOUBLE_EQ(PrecisionAtK(truth, {9, 1, 1, 1, 1}, 2), 1.0);
+  EXPECT_DOUBLE_EQ(PrecisionAtK({1, 1, 1, 1}, {0, 0, 1, 1}, 2), 0.0);
+  // Ids 0 and 2 tie for the 2nd place, so truth's top-2 is {3, 0}.
+  // libstdc++'s partial_sort keeps {3, 2} here.
+  EXPECT_DOUBLE_EQ(PrecisionAtK({1, 0, 1, 2}, {1, 0, 0, 2}, 2), 1.0);
+}
+
 TEST(PrecisionAtKTest, EdgeCases) {
   std::vector<double> x{1, 2};
   EXPECT_DOUBLE_EQ(PrecisionAtK(x, x, 0), 1.0);

@@ -12,17 +12,24 @@
 //     once per (epoch, canonical parameterization) regardless of batch
 //     composition;
 //   * request validation — NaN/out-of-range parameters are rejected with
-//     typed Status errors instead of the old silent defaulting.
+//     typed Status errors instead of the old silent defaulting;
+//   * reply text — AnswerText is byte-identical to FormatBatchResponse
+//     over Answer, reply bytes are pinned across standard libraries, and
+//     a cached family is computed and ranked once per residency however
+//     many threads ask for its text.
 
 #include "src/serve/query_service.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,6 +38,8 @@
 #include "src/graph/generators.h"
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
+#include "src/serve/text_serving.h"
+#include "src/util/ranking.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -448,6 +457,154 @@ TEST(QueryServiceTest, ConcurrentBatchesAcrossEpochSwapsAreByteIdentical) {
   // The hammers must have been answered only from published epochs (and
   // at least the first one).
   EXPECT_FALSE(want.empty());
+}
+
+// The socket path (AnswerText) against the in-process reference
+// (FormatBatchResponse over Answer): byte-identical for every top,
+// including 0 and tops past n, and every thread count.
+TEST(QueryServiceTest, AnswerTextMatchesFormattedAnswer) {
+  Graph g = GenerateBarabasiAlbert(90, 3, 419);
+  const SummaryGraph summary = MakeSummary(g, 0.4);
+  auto requests = ServiceBatch(g.num_nodes());
+  const auto long_runs = LongCheapRunBatch(g.num_nodes());
+  requests.insert(requests.end(), long_runs.begin(), long_runs.end());
+  for (int threads : {1, 4}) {
+    QueryService service(summary, {.num_threads = threads});
+    for (size_t top : {size_t{0}, size_t{1}, size_t{10},
+                       size_t{g.num_nodes()} + 3}) {
+      const auto text = service.AnswerText(requests, top);
+      ASSERT_TRUE(text.ok()) << text.status().ToString();
+      const auto batch = service.Answer(requests);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      EXPECT_EQ(*text, serve::FormatBatchResponse(requests, *batch, top))
+          << "threads=" << threads << " top=" << top;
+    }
+  }
+  QueryService unpublished;
+  const auto none = unpublished.AnswerText(requests, 10);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A cache entry's memoized ranking is the full ranking of its scores:
+// every prefix equals the bounded streaming top-K that FormatAnswer runs
+// over a fresh copy of the scores.
+TEST(QueryServiceTest, CachedRankingPrefixEqualsStreamingTopK) {
+  const Graph g = ::pegasus::testing::QueryGoldenGraph();
+  const SummaryView view(::pegasus::testing::QueryGoldenSummary(g));
+  const size_t n = view.num_nodes();
+  serve::GlobalResultCache cache(/*capacity=*/0);
+  for (const auto& c : ::pegasus::testing::QueryGoldenCases()) {
+    if (IsNodeQuery(c.request.kind)) continue;
+    auto canon = CanonicalizeRequest(c.request, view.num_nodes());
+    ASSERT_TRUE(canon.ok()) << c.name;
+    const auto cached = cache.GetOrCompute(
+        serve::GlobalResultCache::MakeKey(1, *canon),
+        [&] { return AnswerQuery(view, *canon).scores; });
+    ASSERT_EQ(cached->scores, AnswerQuery(view, *canon).scores) << c.name;
+    ASSERT_EQ(cached->ranking.size(), n) << c.name;
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n - 1, n, n + 5}) {
+      const std::vector<NodeId> prefix(
+          cached->ranking.begin(),
+          cached->ranking.begin() + static_cast<ptrdiff_t>(std::min(k, n)));
+      EXPECT_EQ(prefix, TopK(ScoreRank{cached->scores}, k))
+          << c.name << " k=" << k;
+    }
+  }
+  EXPECT_EQ(cache.computations(), 6u);
+  EXPECT_EQ(cache.rankings(), 6u);
+}
+
+// True when two ids ranked next to each other within the first top + 1
+// places tie — a tie inside the printed prefix or across its end.
+template <typename Rank, typename Key>
+bool TieInOrAtPrefix(const Rank& rank, const Key& key, size_t top) {
+  const std::vector<NodeId> ranked = RankAll(rank);
+  for (size_t i = 0; i + 1 < ranked.size() && i < top; ++i) {
+    if (key[ranked[i]] == key[ranked[i + 1]]) return true;
+  }
+  return false;
+}
+
+// Reply bytes are pinned, so the clang/libc++ CI job checks the ranking
+// order of reply lines across standard libraries. The every-family batch
+// must actually exercise ties in hop, degree and clustering.
+TEST(QueryServiceTest, ReplyBytesMatchCrossStdlibGoldens) {
+  const Graph g = ::pegasus::testing::QueryGoldenGraph();
+  const SummaryGraph summary = ::pegasus::testing::QueryGoldenSummary(g);
+  constexpr size_t kTop = ::pegasus::testing::kReplyGoldenTop;
+  QueryService service(summary, {.num_threads = 4});
+  for (const auto& golden : ::pegasus::testing::ReplyGoldenBatches()) {
+    const auto requests = serve::ParseBatchText(golden.text, g.num_nodes());
+    ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+    const auto text = service.AnswerText(*requests, kTop);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    EXPECT_EQ(::pegasus::testing::HashBytes(*text), golden.hash)
+        << golden.name << " actual 0x" << std::hex
+        << ::pegasus::testing::HashBytes(*text) << std::dec << "\n"
+        << *text;
+    const auto batch = service.Answer(*requests);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(serve::FormatBatchResponse(*requests, *batch, kTop), *text)
+        << golden.name;
+  }
+
+  const SummaryView view(summary);
+  for (NodeId q : {NodeId{5}, NodeId{1}}) {
+    const auto hops = AnswerQuery(
+        view, {QueryKind::kHop, q, kQueryParamUseDefault, true, {}}).hops;
+    EXPECT_TRUE(TieInOrAtPrefix(HopRank{hops}, hops, kTop)) << "hop " << q;
+  }
+  for (QueryKind kind : {QueryKind::kDegree, QueryKind::kClustering}) {
+    auto canon = CanonicalizeRequest(
+        {kind, 0, kQueryParamUseDefault, true, {}}, view.num_nodes());
+    ASSERT_TRUE(canon.ok());
+    const auto scores = AnswerQuery(view, *canon).scores;
+    EXPECT_TRUE(TieInOrAtPrefix(ScoreRank{scores}, scores, kTop))
+        << QueryKindName(kind);
+  }
+}
+
+// Many threads asking for one cached family's text at once: exactly one
+// scores computation and one ranking run, and every reply is identical.
+// Runs in the TSan CI job with the rest of this suite.
+TEST(QueryServiceTest, CachedTextRankedOncePerResidencyUnderConcurrency) {
+  Graph g = GenerateBarabasiAlbert(120, 3, 420);
+  const SummaryGraph summary = MakeSummary(g, 0.4);
+  QueryService service(summary, {.num_threads = 4});
+  const std::vector<QueryRequest> requests{
+      {QueryKind::kPageRank, 0, kQueryParamUseDefault, true, {}}};
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 10;
+  std::atomic<int> ready{0};
+  std::vector<std::vector<std::string>> replies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        auto text = service.AnswerText(requests, 10);
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
+        replies[static_cast<size_t>(t)].push_back(*std::move(text));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const auto stats = service.cache_stats();
+  EXPECT_EQ(stats.computations, 1u);
+  EXPECT_EQ(stats.rankings, 1u);
+  EXPECT_EQ(stats.hits, uint64_t{kThreads} * kRounds - 1);
+  const auto batch = service.Answer(requests);
+  ASSERT_TRUE(batch.ok());
+  const std::string expected =
+      serve::FormatBatchResponse(requests, *batch, 10);
+  for (const auto& per_thread : replies) {
+    ASSERT_EQ(per_thread.size(), static_cast<size_t>(kRounds));
+    for (const std::string& reply : per_thread) EXPECT_EQ(reply, expected);
+  }
 }
 
 }  // namespace

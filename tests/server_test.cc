@@ -185,6 +185,45 @@ TEST_F(ServerTest, BatchMatchesInProcessBytes) {
   EXPECT_EQ(reply->body, ExpectedBatch(service, kMixedBatch));
 }
 
+// The reply-byte golden batches over a socket: the body equals
+// FormatBatchResponse over an in-process Answer, and the pinned hash,
+// before a publish; after a publish swaps in another summary it still
+// equals the in-process reference for the new epoch, so the cached
+// rankings of the old epoch never leak into a new-epoch reply.
+TEST_F(ServerTest, ReplyGoldenBatchesMatchInProcessAcrossPublish) {
+  const Graph golden_graph = testing::QueryGoldenGraph();
+  QueryService service(testing::QueryGoldenSummary(golden_graph),
+                       {.num_threads = 4});
+  Server server(service, {.top = testing::kReplyGoldenTop});
+  ASSERT_TRUE(server.Start().ok());
+  ClientSocket client(server.port());
+  ASSERT_TRUE(client.ok());
+
+  const auto check = [&](bool pinned) {
+    for (const auto& golden : testing::ReplyGoldenBatches()) {
+      auto reply = client.RoundTrip(FrameType::kBatch, golden.text);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_EQ(reply->type, FrameType::kOk) << reply->body;
+      auto requests =
+          serve::ParseBatchText(golden.text, service.view()->num_nodes());
+      ASSERT_TRUE(requests.ok()) << requests.status().ToString();
+      auto batch = service.Answer(*requests);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      EXPECT_EQ(reply->body,
+                serve::FormatBatchResponse(*requests, *batch,
+                                           testing::kReplyGoldenTop))
+          << golden.name;
+      if (pinned) {
+        EXPECT_EQ(testing::HashBytes(reply->body), golden.hash)
+            << golden.name;
+      }
+    }
+  };
+  check(/*pinned=*/true);
+  ASSERT_EQ(service.Publish(summary_), 2u);
+  check(/*pinned=*/false);
+}
+
 TEST_F(ServerTest, ErrorFramesKeepConnectionOpen) {
   QueryService service(summary_);
   Server server(service, {});

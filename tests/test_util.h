@@ -4,7 +4,9 @@
 #define PEGASUS_TESTS_TEST_UTIL_H_
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,16 @@ inline uint64_t HashScores(const std::vector<double>& scores) {
 inline uint64_t HashU32s(const std::vector<uint32_t>& values) {
   uint64_t h = HashWord(kFnvOffset64, values.size());
   for (uint32_t v : values) h = HashWord(h, v);
+  return h;
+}
+
+// FNV-1a 64 over a byte string (reply bodies).
+inline uint64_t HashBytes(const std::string& bytes) {
+  uint64_t h = kFnvOffset64;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= kFnvPrime64;
+  }
   return h;
 }
 
@@ -106,6 +118,41 @@ inline std::vector<QueryGoldenCase> QueryGoldenCases() {
        0x1704a3bb17153ffcULL},
       {"clustering_uw", {QueryKind::kClustering, 0, d, false, {}},
        0xfcd8845df0f61fa2ULL},
+  };
+}
+
+// --- Cross-stdlib reply-byte goldens ----------------------------------------
+//
+// Text batches over QueryGoldenSummary with the FNV-1a hash of the reply
+// body (top kReplyGoldenTop, epoch 1) checked in. They pin the ranking
+// order of the reply lines (src/util/ranking.h), which the QueryResult
+// goldens above cannot see: "every_family" holds ties across and within
+// the printed top-K in hop, degree and clustering, and "mixed16" is one
+// 16-request batch of every shape. Asserted for QueryService::AnswerText
+// and FormatBatchResponse (query_service_test) and over a socket
+// (server_test). Regenerate only after an intentional change to the
+// reply format or the ranking order; the failure prints the actual hash.
+
+inline constexpr size_t kReplyGoldenTop = 10;
+
+struct ReplyGoldenBatch {
+  const char* name;
+  const char* text;
+  uint64_t hash;
+};
+
+inline std::vector<ReplyGoldenBatch> ReplyGoldenBatches() {
+  return {
+      {"every_family",
+       "neighbors 5\nhop 5\nhop 1\nrwr 5\nrwr 1 0.2\nphp 5\nphp 2 0.5\n"
+       "degree\npagerank\npagerank 0.5\nclustering\n",
+       0xd30fbce0c1cf0dd1ULL},
+      {"mixed16",
+       "neighbors 0\nneighbors 17\nhop 42\ndegree\nrwr 3 0.1\n"
+       "neighbors 100\npagerank\nphp 9\nclustering\nhop 150\n"
+       "neighbors 199\npagerank 0.7\nrwr 120\ndegree\nneighbors 64\n"
+       "php 33 0.8\n",
+       0x92bf599ab3b21d01ULL},
   };
 }
 

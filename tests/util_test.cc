@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <vector>
 
 #include "src/util/bits.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 #include "src/util/stamped_slots.h"
 #include "src/util/table.h"
@@ -46,6 +49,77 @@ TEST(StampedSlotsTest, WrapNeitherRevivesStaleNorUntouchedSlots) {
   while (slots.epoch() < 2) slots.NextEpoch();
   for (size_t id = 0; id < 4; ++id) EXPECT_FALSE(slots.Live(id)) << id;
   EXPECT_TRUE(slots.Claim(0));
+}
+
+constexpr uint32_t kUnreachable = UINT32_MAX;
+
+TEST(RankingTest, TieAtKthPlaceBreaksByAscendingId) {
+  // Ids 1 and 3 tie for first, ids 2, 4 and 5 tie across the 3rd place.
+  const std::vector<double> scores{1, 3, 2, 3, 2, 2};
+  const ScoreRank rank{scores};
+  EXPECT_EQ(RankAll(rank), (std::vector<uint32_t>{1, 3, 2, 4, 5, 0}));
+  EXPECT_EQ(TopK(rank, 3), (std::vector<uint32_t>{1, 3, 2}));
+  EXPECT_EQ(TopK(rank, 4), (std::vector<uint32_t>{1, 3, 2, 4}));
+}
+
+TEST(RankingTest, UnreachableHopsRankLast) {
+  const std::vector<uint32_t> hops{kUnreachable, 2, 0, kUnreachable, 1, 2};
+  const HopRank rank{hops};
+  EXPECT_EQ(RankAll(rank), (std::vector<uint32_t>{2, 4, 1, 5, 0, 3}));
+  EXPECT_EQ(TopK(rank, 5), (std::vector<uint32_t>{2, 4, 1, 5, 0}));
+  // A far node still beats every unreachable one.
+  const std::vector<uint32_t> far{kUnreachable, kUnreachable - 1};
+  EXPECT_EQ(TopK(HopRank{far}, 1), (std::vector<uint32_t>{1}));
+}
+
+TEST(RankingTest, KAtLeastNAndKZero) {
+  const std::vector<double> scores{0.5, 0.25, 0.5};
+  const ScoreRank rank{scores};
+  const std::vector<uint32_t> all{0, 2, 1};
+  EXPECT_EQ(RankAll(rank), all);
+  EXPECT_EQ(TopK(rank, 3), all);
+  EXPECT_EQ(TopK(rank, 100), all);
+  EXPECT_TRUE(TopK(rank, 0).empty());
+  const std::vector<double> empty;
+  EXPECT_TRUE(TopK(ScoreRank{empty}, 5).empty());
+  EXPECT_TRUE(RankAll(ScoreRank{empty}).empty());
+}
+
+// On tie-heavy random data, every TopK list is a prefix of RankAll, and
+// RankAll is the stable sort of the ids by score alone (a stable sort
+// keeps ascending ids among ties).
+TEST(RankingTest, TopKIsPrefixOfRankAllUnderHeavyTies) {
+  Rng rng(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t n = 1 + rng.Uniform(60);
+    std::vector<double> scores(n);
+    std::vector<uint32_t> hops(n);
+    for (size_t i = 0; i < n; ++i) {
+      scores[i] = static_cast<double>(rng.Uniform(4)) * 0.25;
+      const uint64_t h = rng.Uniform(5);
+      hops[i] = h == 4 ? kUnreachable : static_cast<uint32_t>(h);
+    }
+    std::vector<uint32_t> by_score(n);
+    std::iota(by_score.begin(), by_score.end(), 0u);
+    std::vector<uint32_t> by_hops = by_score;
+    std::stable_sort(by_score.begin(), by_score.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return scores[a] > scores[b];
+                     });
+    std::stable_sort(by_hops.begin(), by_hops.end(),
+                     [&](uint32_t a, uint32_t b) { return hops[a] < hops[b]; });
+    ASSERT_EQ(RankAll(ScoreRank{scores}), by_score);
+    ASSERT_EQ(RankAll(HopRank{hops}), by_hops);
+    for (size_t k = 0; k <= n + 1; ++k) {
+      const size_t m = std::min(k, n);
+      ASSERT_EQ(TopK(ScoreRank{scores}, k),
+                std::vector<uint32_t>(by_score.begin(), by_score.begin() + m))
+          << "n=" << n << " k=" << k;
+      ASSERT_EQ(TopK(HopRank{hops}, k),
+                std::vector<uint32_t>(by_hops.begin(), by_hops.begin() + m))
+          << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(SplitMix64Test, Deterministic) {

@@ -69,7 +69,7 @@ def check_static_fixtures(repo, fixtures, failures):
     rc, reported = lint_json(
         repo, ["--root", fixtures,
                "--rules", "hash-order,nondet,status-discard,reassoc,"
-                          "hot-snapshot",
+                          "hot-snapshot,sort-order",
                fixtures])
     got = {(v["file"], v["line"], v["rule"]) for v in reported}
     expected = collect_expectations(fixtures)

@@ -12,10 +12,11 @@ Rules
   hash-order      No iteration over std::unordered_{map,set}: no range-for
                   over a hash-typed expression, no .begin() walks or
                   (first, last) copies out of one, and no public accessor
-                  returning a reference to one from a header. Use
-                  CanonicalSuperedges()/sorted snapshots, or suppress with
-                  a reasoned  // lint: hash-order-ok(<why order cannot
-                  reach output bytes>).
+                  returning a reference to one from a header. Iterate a
+                  canonical-order container or a sorted snapshot
+                  instead, or suppress with a reasoned
+                  // lint: hash-order-ok(<why order cannot reach output
+                  bytes>).
   nondet          No std::rand/srand, std::random_device, or raw <chrono>
                   clocks outside src/util/rng.*, src/util/timer.*, and
                   bench/. All randomness flows through the seeded Rng; all
@@ -32,8 +33,9 @@ Rules
                   reduction` / fast-math pragmas in src/. Reassociated
                   summation changes golden bytes per-architecture.
                   Suppress with // lint: reassoc-ok(<reason>).
-  hot-snapshot    No snapshot-building calls (CanonicalSuperedges()) in a
-                  loop body: each call materializes and sorts the full
+  hot-snapshot    No snapshot-building calls (the HOT_SNAPSHOT_CALLS
+                  registry) in a loop body: each call materializes and
+                  sorts the full
                   superedge list, so calling it per iteration turns an
                   O(E log E) prologue into an O(iters * E log E) hot
                   loop. Hoist the snapshot before the loop, or suppress
@@ -46,6 +48,15 @@ Rules
                   (and refreshing the lock via --update-version-lock)
                   fails this rule — the wire-layer extension of the PR-7
                   format_spec_guard idea.
+  sort-order      No std::sort / stable_sort / partial_sort / nth_element
+                  with a custom comparator unless the comparator is one of
+                  the total orders of src/util/ranking.h (ScoreRank,
+                  HopRank): a comparator without a tie-break leaves the
+                  order of tied elements to the standard library's
+                  algorithm, so ranked output differs between libstdc++
+                  and libc++. Suppress with
+                  // lint: sort-order-ok(<why ties cannot reach output, or
+                  the follow-up that fixes them>).
 
 Suppressions must carry a non-empty reason; a bare marker is itself a
 violation. A marker suppresses its own line, or — when the marker's line
@@ -74,7 +85,7 @@ import re
 import sys
 
 ALL_RULES = ("hash-order", "nondet", "status-discard", "reassoc",
-             "hot-snapshot", "versioning")
+             "hot-snapshot", "versioning", "sort-order")
 
 SUPPRESS_MARKERS = {
     "hash-order": "hash-order-ok",
@@ -82,11 +93,19 @@ SUPPRESS_MARKERS = {
     "status-discard": "status-ignored-ok",
     "reassoc": "reassoc-ok",
     "hot-snapshot": "hot-snapshot-ok",
+    "sort-order": "sort-order-ok",
 }
 
 # hot-snapshot registry: calls that materialize + sort a full snapshot on
 # every invocation. Extend here (with a comment) when a new one appears.
 HOT_SNAPSHOT_CALLS = ("CanonicalSuperedges",)
+
+# sort-order registry: the comparators that are total orders by
+# construction (src/util/ranking.h), and how many leading iterator
+# arguments each sort call takes before its optional comparator.
+RANK_ORDER_HELPERS = ("ScoreRank", "HopRank")
+SORT_CALLS = {"sort": 2, "stable_sort": 2, "partial_sort": 3,
+              "nth_element": 3}
 
 # Paths (relative to --root, '/'-separated) where raw clocks/randomness are
 # the implementation of the sanctioned abstraction rather than a leak
@@ -489,7 +508,7 @@ def check_hash_order(src, index, suppressions, violations):
             flag(m.start(),
                  "range-for over hash-ordered '%s' — enumeration order is a "
                  "standard-library artifact; iterate a canonical/sorted "
-                 "snapshot (e.g. CanonicalSuperedges()) or suppress with "
+                 "snapshot or suppress with "
                  "// lint: hash-order-ok(<reason>)" % name)
 
     # .begin()/.end()/.cbegin() walks and (first, last) copies.
@@ -793,6 +812,49 @@ def check_hot_snapshot(src, suppressions, violations):
 
 
 # --------------------------------------------------------------------------
+# Rule: sort-order
+
+def _top_level_args(text):
+    """Split a call's argument text at the commas outside any (), [], {}."""
+    args, depth, start = [], 0, 0
+    for i, c in enumerate(text):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            args.append(text[start:i])
+            start = i + 1
+    args.append(text[start:])
+    return args
+
+
+def check_sort_order(src, suppressions, violations):
+    marker = SUPPRESS_MARKERS["sort-order"]
+    code = src.code
+    helper_re = re.compile(r"\b(?:%s)\b" % "|".join(RANK_ORDER_HELPERS))
+    for m in re.finditer(r"\bstd::(%s)\s*\(" % "|".join(SORT_CALLS), code):
+        end = _paren_end(code, m.end() - 1)
+        if end is None:
+            continue
+        args = _top_level_args(code[m.end():end])
+        iterators = SORT_CALLS[m.group(1)]
+        if len(args) <= iterators:
+            continue  # operator<, a total order on the elements
+        if helper_re.search(",".join(args[iterators:])):
+            continue
+        line = src.line_of(m.start())
+        if suppressions.covers(line, marker):
+            continue
+        violations.append(Violation(
+            src.relpath, line, "sort-order",
+            "std::%s with a custom comparator — without a tie-break the "
+            "order of tied elements is the standard library's choice; rank "
+            "with ScoreRank/HopRank (src/util/ranking.h) or suppress with "
+            "// lint: sort-order-ok(<reason>)" % m.group(1)))
+
+
+# --------------------------------------------------------------------------
 # Rule: versioning
 
 def _enum_fingerprint(text, enum_name):
@@ -1000,6 +1062,8 @@ def run(root, rules, paths, fmt):
             check_reassoc(src, sup, violations, is_cmake=False)
         if "hot-snapshot" in rules:
             check_hot_snapshot(src, sup, violations)
+        if "sort-order" in rules:
+            check_sort_order(src, sup, violations)
     if "reassoc" in rules:
         for p in cmake_paths:
             with open(p, encoding="utf-8", errors="replace") as f:
