@@ -1,5 +1,6 @@
 #include "src/serve/query_service.h"
 
+#include <algorithm>
 #include <bit>
 #include <string>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "src/core/summary_arena.h"
 #include "src/core/summary_io.h"
 #include "src/serve/text_serving.h"
+#include "src/util/memory.h"
 #include "src/util/ranking.h"
 
 namespace pegasus {
@@ -47,30 +49,39 @@ size_t GlobalResultCache::KeyHash::operator()(const Key& key) const {
   return static_cast<size_t>(h);
 }
 
+std::shared_ptr<GlobalResultCache::Entry> GlobalResultCache::FindOrInsert(
+    const Key& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (key.epoch < newest_epoch_) {
+    // An epoch Publish already retired (an old batch still in flight):
+    // compute for this caller alone, through an entry the map never
+    // holds, so the dead epoch's scores die with the batch.
+    ++computations_;
+    return std::make_shared<Entry>();
+  }
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (inserted) {
+    lru_.push_front(key);
+    it->second = {std::make_shared<Entry>(), lru_.begin()};
+    ++computations_;
+    // Capacity bound: drop least-recently-used entries (never the one
+    // just inserted). An evicted in-flight computation still completes
+    // for the callers holding its Entry; the cache simply forgets it.
+    while (capacity_ != 0 && entries_.size() > capacity_) {
+      entries_.erase(lru_.back());
+      lru_.pop_back();
+      ++evictions_;
+    }
+  } else {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    ++hits_;
+  }
+  return it->second.entry;
+}
+
 std::shared_ptr<const CachedScores> GlobalResultCache::GetOrCompute(
     const Key& key, const std::function<std::vector<double>()>& compute) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted) {
-      lru_.push_front(key);
-      it->second = {std::make_shared<Entry>(), lru_.begin()};
-      ++computations_;
-      // Capacity bound: drop least-recently-used entries (never the one
-      // just inserted). An evicted in-flight computation still completes
-      // for the callers holding its Entry; the cache simply forgets it.
-      while (capacity_ != 0 && entries_.size() > capacity_) {
-        entries_.erase(lru_.back());
-        lru_.pop_back();
-        ++evictions_;
-      }
-    } else {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      ++hits_;
-    }
-    entry = it->second.entry;
-  }
+  const std::shared_ptr<Entry> entry = FindOrInsert(key);
   // Exactly-once compute and ranking outside the map lock: concurrent
   // callers of the same key block here until the first one publishes the
   // value; callers of other keys proceed in parallel.
@@ -87,6 +98,7 @@ std::shared_ptr<const CachedScores> GlobalResultCache::GetOrCompute(
 
 void GlobalResultCache::EvictOtherEpochs(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(mu_);
+  newest_epoch_ = std::max(newest_epoch_, epoch);
   // Epoch turnover is not a capacity eviction: superseded entries can
   // never be requested again, so dropping them is reclamation, not
   // pressure — evictions_ counts only the LRU bound firing.
@@ -304,11 +316,13 @@ uint64_t QueryService::Publish(std::shared_ptr<const SummaryView> view) {
     view_ = std::move(view);
     new_epoch = ++epoch_;
   }
-  // Entries of superseded epochs can never be requested again (batches
-  // key the cache by the epoch they captured, and epochs are monotonic —
-  // an in-flight old-epoch batch may re-insert briefly, reclaimed on the
-  // next Publish).
+  // Entries of superseded epochs can never be served again: batches key
+  // the cache by the epoch they captured, epochs are monotonic, and an
+  // old-epoch batch still in flight computes without inserting. Then hand
+  // back what the retired epoch, and the traffic since the last turnover,
+  // left free in any malloc arena (see the header).
   cache_.EvictOtherEpochs(new_epoch);
+  ReleaseFreedMemory();
   return new_epoch;
 }
 

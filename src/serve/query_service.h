@@ -124,16 +124,20 @@ class GlobalResultCache {
 
   // Returns the scores for `key` and their ranking, running `compute`
   // and the ranking exactly once per key across all threads; later
-  // callers block until the value is ready.
+  // callers block until the value is ready. A key whose epoch is older
+  // than the newest one EvictOtherEpochs has seen is computed and ranked
+  // for this caller alone and never inserted: a batch still in flight on
+  // a superseded epoch cannot pin that epoch's scores in the cache.
   std::shared_ptr<const CachedScores> GetOrCompute(
       const Key& key, const std::function<std::vector<double>()>& compute);
 
-  // Drops every entry whose epoch differs from `epoch` (called on
-  // Publish; superseded epochs can never be requested again).
+  // Drops every entry whose epoch differs from `epoch` and records
+  // `epoch` as the newest (called on Publish; superseded epochs never
+  // re-enter the cache).
   void EvictOtherEpochs(uint64_t epoch);
 
   uint64_t hits() const;          // lookups served from an existing entry
-  uint64_t computations() const;  // entries ever created (== cache misses)
+  uint64_t computations() const;  // values ever computed (== cache misses)
   uint64_t evictions() const;     // entries dropped by the capacity bound
   uint64_t rankings() const;      // full rankings computed
   size_t size() const;            // live entries
@@ -149,10 +153,14 @@ class GlobalResultCache {
     std::list<Key>::iterator lru_it;  // position in lru_
   };
 
+  // The entry `key` computes into, counting the hit or the computation.
+  std::shared_ptr<Entry> FindOrInsert(const Key& key);
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::unordered_map<Key, Slot, KeyHash> entries_;
   std::list<Key> lru_;  // most recently used first
+  uint64_t newest_epoch_ = 0;  // highest epoch EvictOtherEpochs has seen
   uint64_t hits_ = 0;
   uint64_t computations_ = 0;
   uint64_t evictions_ = 0;
@@ -200,6 +208,15 @@ class QueryService {
   // Builds a view of `summary` and swaps it in as the new current epoch.
   // Expensive part (the view build) runs outside any lock; the swap is
   // O(1). Returns the new epoch. In-flight batches are unaffected.
+  //
+  // Memory: after the swap, the cache drops every superseded epoch's
+  // entries, and the freed heap pages of every malloc arena go back to
+  // the OS (ReleaseFreedMemory, src/util/memory.h). Turnover is when the
+  // largest shared serving state dies — the retired view's KernelPlan
+  // and its cached scores and rankings — and it was freed on whichever
+  // connection or executor thread last touched it, so without the
+  // release those pages, and the per-request kernel vectors freed since
+  // the last turnover, stay resident in that thread's arena.
   uint64_t Publish(const SummaryGraph& summary);
   // Publishes an already-built view (shared with the caller).
   uint64_t Publish(std::shared_ptr<const SummaryView> view);

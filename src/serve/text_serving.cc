@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/util/memory.h"
 #include "src/util/ranking.h"
 
 namespace pegasus::serve {
@@ -181,6 +182,11 @@ std::string FormatServiceStats(const QueryService& service) {
                "total_batches %llu\n",
                serving.inflight_batches, serving.max_inflight_batches,
                static_cast<unsigned long long>(serving.total_batches));
+  if (const auto memory = ReadResidentMemory()) {
+    AppendFormat(out, "resident_kb %llu peak_resident_kb %llu\n",
+                 static_cast<unsigned long long>(memory->resident_kb),
+                 static_cast<unsigned long long>(memory->peak_resident_kb));
+  }
   return out;
 }
 

@@ -78,8 +78,9 @@ std::string JoinBatchResponse(const std::vector<std::string>& lines,
                               uint64_t epoch);
 
 // The `stats` directive body shared by stdin and socket serving: epoch,
-// global-result cache counters, and the in-flight batch counters that
-// make concurrent-batch overlap observable.
+// global-result cache counters, the in-flight batch counters that make
+// concurrent-batch overlap observable, and — where /proc/self/status
+// exists — the process's resident and peak resident memory.
 std::string FormatServiceStats(const QueryService& service);
 
 }  // namespace pegasus::serve

@@ -15,13 +15,10 @@
 #include "src/partition/random_partition.h"
 #include "src/partition/social_hash.h"
 #include "src/query/summary_view.h"
+#include "src/util/memory.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 namespace pegasus::shard {
 
@@ -40,17 +37,6 @@ Status EnsureDir(const std::string& path) {
     return Status::Ok();
   }
   return Status::DataLoss("cannot create directory " + path);
-}
-
-// Hands the pages a finished build freed back to the OS. Each machine
-// task allocates from its executor thread's malloc arena, and glibc keeps
-// an arena's free pages resident after the thread exits: without this, a
-// process that has built Skitter* small into 4 shards keeps tens of MiB of
-// dead planner state, an amount that varies with thread timing.
-void ReleaseFreedMemory() {
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
 }
 
 // Summarizes every part of `partition` and hands machine i's summary to
@@ -279,6 +265,10 @@ StatusOr<ShardBuildResult> ShardBuild(const Graph& graph,
   const Status built = ForEachShardSummary(
       graph, result.partition, options.ratio * graph.SizeInBits(),
       options.config, write_shard);
+  // Each machine task allocates from its executor thread's malloc arena,
+  // whose free pages stay resident after the thread exits: without this,
+  // a process that has built Skitter* small into 4 shards keeps tens of
+  // MiB of dead planner state, an amount that varies with thread timing.
   ReleaseFreedMemory();
   if (!built) return built;
   result.manifest_path = out_dir + "/" + kManifestFileName;

@@ -302,6 +302,10 @@ TEST_F(ServerTest, EpochAndStatsDirectives) {
   EXPECT_NE(stats->body.find("inflight_batches 0"), std::string::npos);
   EXPECT_NE(stats->body.find("connections_open 1"), std::string::npos);
   EXPECT_NE(stats->body.find("conn 1 inflight 0"), std::string::npos);
+#if defined(__linux__)
+  EXPECT_NE(stats->body.find("\nresident_kb "), std::string::npos);
+  EXPECT_NE(stats->body.find(" peak_resident_kb "), std::string::npos);
+#endif
 }
 
 TEST_F(ServerTest, ConcurrentClientsGetIdenticalBytes) {
