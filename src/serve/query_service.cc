@@ -102,8 +102,11 @@ void GlobalResultCache::EvictOtherEpochs(uint64_t epoch) {
   // Epoch turnover is not a capacity eviction: superseded entries can
   // never be requested again, so dropping them is reclamation, not
   // pressure — evictions_ counts only the LRU bound firing.
+  // Compare with the newest epoch, not `epoch`: two Publish calls on
+  // different threads may reach here out of order, and the late call for
+  // the older epoch must not drop the newer epoch's live entries.
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->epoch == epoch) {
+    if (it->epoch >= newest_epoch_) {
       ++it;
     } else {
       entries_.erase(*it);

@@ -131,9 +131,9 @@ class GlobalResultCache {
   std::shared_ptr<const CachedScores> GetOrCompute(
       const Key& key, const std::function<std::vector<double>()>& compute);
 
-  // Drops every entry whose epoch differs from `epoch` and records
-  // `epoch` as the newest (called on Publish; superseded epochs never
-  // re-enter the cache).
+  // Records `epoch` if it is the newest seen so far, then drops every
+  // entry older than the newest (called on Publish; superseded epochs
+  // never re-enter the cache, whatever order concurrent calls land in).
   void EvictOtherEpochs(uint64_t epoch);
 
   uint64_t hits() const;          // lookups served from an existing entry

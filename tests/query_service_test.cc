@@ -549,6 +549,13 @@ TEST(QueryServiceTest, SupersededEpochNeverReentersCache) {
   cache.GetOrCompute(serve::GlobalResultCache::MakeKey(2, *canon), compute);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
+
+  // A late eviction for an older epoch (concurrent publishes landing out
+  // of order) keeps the newest epoch's entries.
+  cache.EvictOtherEpochs(1);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.GetOrCompute(serve::GlobalResultCache::MakeKey(2, *canon), compute);
+  EXPECT_EQ(cache.hits(), 2u);
 }
 
 // Supernodes of `block` consecutive ids, with a superedge wherever an

@@ -19,8 +19,7 @@ A history line is one JSON object:
     {"commit": <id>, "workload": <name>, "seeds": [...], "nproc": <n>,
      "metrics": {<gated metric>: <median>, ...}}
 
-`commit` is the short hash the results were measured at, or the subject
-of the commit that adds the line when that hash cannot be known yet.
+`commit` is the short hash of the commit the results were measured at.
 perfbench results do not name their seed, so pass --seeds to record
 them.
 
@@ -108,8 +107,9 @@ def compare(current, baseline, gated):
 
 
 def run(args):
-    gated = load_json(args.benchmark)["end_to_end"]
-    workloads = [w["name"] for w in load_json(args.benchmark)["workloads"]]
+    bench = load_json(BENCHMARK)
+    gated = bench["end_to_end"]
+    workloads = [w["name"] for w in bench["workloads"]]
     if args.workload not in workloads:
         raise UsageError("unknown workload %s; known: %s" %
                          (args.workload, ", ".join(workloads)))
@@ -135,8 +135,9 @@ def run(args):
 
 
 def selftest():
-    gated = load_json(BENCHMARK)["end_to_end"]
-    workloads = [w["name"] for w in load_json(BENCHMARK)["workloads"]]
+    bench = load_json(BENCHMARK)
+    gated = bench["end_to_end"]
+    workloads = [w["name"] for w in bench["workloads"]]
     history = load_history(HISTORY)
     for w in workloads:
         line = last_line(history, w)
@@ -202,7 +203,6 @@ def make_parser():
     parser.add_argument("results", nargs="*", help="perfbench result JSONs")
     parser.add_argument("--workload")
     parser.add_argument("--history", default=HISTORY)
-    parser.add_argument("--benchmark", default=BENCHMARK)
     parser.add_argument("--append", action="store_true")
     parser.add_argument("--commit")
     parser.add_argument("--seeds", type=int, nargs="+")
