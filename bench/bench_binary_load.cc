@@ -8,9 +8,9 @@
 //               SummaryGraph, build a SummaryView (the pre-PSB1 path);
 //   * binary  — read a raw PSB1 file through LoadSummaryBinary (full
 //               checksum + structural verification), rebuild, build;
-//   * mmap    — SummaryArena::Map with default options (structural pass
-//               only) and construct the view straight over the mapping,
-//               zero parse and zero rebuild.
+//   * mmap    — SummaryArena::Map (its structural and edge-symmetry
+//               passes, no checksums) and construct the view straight
+//               over the mapping, zero parse and zero rebuild.
 //
 // Timings are best-of-reps with a warm page cache, which favors no path
 // over another (all three read the same bytes). Two hard gates make this

@@ -142,15 +142,12 @@ int Run() {
       *SummarizeGraphToRatio(graph, SampleNodes(graph, 50, 13), 0.15, config);
   const SummaryGraph& summary = summarized.summary;
   const SummaryView view(summary);
-  const KernelPlan& plan = view.kernel_plan();
   std::printf("graph: BA, %u nodes, %llu edges; summary: %u supernodes, "
-              "%llu superedges; fused gates: gather=%s segmented=%s\n\n",
+              "%llu superedges\n\n",
               graph.num_nodes(),
               static_cast<unsigned long long>(graph.num_edges()),
               summary.num_supernodes(),
-              static_cast<unsigned long long>(summary.num_superedges()),
-              plan.GatherOk(true) ? "on" : "OFF",
-              plan.SegmentedOk(true) ? "on" : "OFF");
+              static_cast<unsigned long long>(summary.num_superedges()));
 
   const std::vector<NodeId> sample = SampleNodes(graph, gate_queries, 19);
   std::vector<GateRow> gate_rows;

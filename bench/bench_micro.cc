@@ -1,7 +1,9 @@
 // Microbenchmarks (google-benchmark) for the core operations: BFS,
 // personalized-weight computation, shingle grouping, merge evaluation and
-// application, error evaluation, summary-graph query answering, and the
-// per-request cost of a cached whole-graph text answer.
+// application, error evaluation, summary-graph query answering (the
+// one-off SummaryView build and the per-query kernels on a built view,
+// timed apart), and the per-request cost of a cached whole-graph text
+// answer.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +22,7 @@
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "src/serve/query_service.h"
 #include "src/serve/text_serving.h"
 #include "src/util/rng.h"
@@ -164,14 +166,26 @@ void BM_PersonalizedError(benchmark::State& state) {
 }
 BENCHMARK(BM_PersonalizedError);
 
+// The one-off cost of a summary's query form, paid once per summary and
+// kept out of BM_SummaryRwr / BM_SummaryHop below.
+void BM_SummaryViewBuild(benchmark::State& state) {
+  Graph g = MakeGraph(1 << 13);
+  auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
+  for (auto _ : state) {
+    const SummaryView view(result.summary);
+    benchmark::DoNotOptimize(view.kernel_plan().num_rows());
+  }
+}
+BENCHMARK(BM_SummaryViewBuild);
+
 void BM_SummaryRwr(benchmark::State& state) {
   Graph g = MakeGraph(1 << 13);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
+  const SummaryView view(result.summary);
   IterativeQueryOptions opts;
   opts.max_iterations = 30;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SummaryRwrScores(result.summary, 0, 0.05, true, opts));
+    benchmark::DoNotOptimize(SummaryRwrScores(view, 0, 0.05, true, opts));
   }
 }
 BENCHMARK(BM_SummaryRwr);
@@ -179,8 +193,9 @@ BENCHMARK(BM_SummaryRwr);
 void BM_SummaryHop(benchmark::State& state) {
   Graph g = MakeGraph(1 << 13);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
+  const SummaryView view(result.summary);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(FastSummaryHopDistances(result.summary, 0));
+    benchmark::DoNotOptimize(FastSummaryHopDistances(view, 0));
   }
 }
 BENCHMARK(BM_SummaryHop);

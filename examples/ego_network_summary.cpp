@@ -11,7 +11,7 @@
 #include "src/eval/metrics.h"
 #include "src/graph/datasets.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "src/util/rng.h"
 
 using namespace pegasus;  // NOLINT: example brevity
@@ -19,8 +19,8 @@ using namespace pegasus;  // NOLINT: example brevity
 namespace {
 
 // SMAPE of RWR answers for a query node on a given summary.
-double RwrError(const Graph& graph, const SummaryGraph& summary, NodeId q) {
-  return Smape(ExactRwrScores(graph, q), SummaryRwrScores(summary, q));
+double RwrError(const Graph& graph, const SummaryView& view, NodeId q) {
+  return Smape(ExactRwrScores(graph, q), SummaryRwrScores(view, q));
 }
 
 }  // namespace
@@ -46,14 +46,15 @@ int main() {
   auto summary_u = *SummarizeGraphToRatio(graph, {user_u}, ratio, config);
   auto summary_v = *SummarizeGraphToRatio(graph, {user_v}, ratio, config);
 
+  const SummaryView view_u(summary_u.summary);
+  const SummaryView view_v(summary_v.summary);
+
   std::printf("\nbudget: %.0f%% of the input bits each\n", ratio * 100);
   std::printf("\n               summary for u   summary for v\n");
   std::printf("RWR error at u      %.4f          %.4f\n",
-              RwrError(graph, summary_u.summary, user_u),
-              RwrError(graph, summary_v.summary, user_u));
+              RwrError(graph, view_u, user_u), RwrError(graph, view_v, user_u));
   std::printf("RWR error at v      %.4f          %.4f\n",
-              RwrError(graph, summary_u.summary, user_v),
-              RwrError(graph, summary_v.summary, user_v));
+              RwrError(graph, view_u, user_v), RwrError(graph, view_v, user_v));
 
   // Each summary preserves its own user's neighborhood better.
   auto w_u = PersonalWeights::Compute(graph, {user_u}, config.alpha);

@@ -17,7 +17,7 @@
 #include "src/graph/datasets.h"
 #include "src/graph/io.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 
 using namespace pegasus;  // NOLINT: example brevity
 
@@ -64,13 +64,16 @@ int main(int argc, char** argv) {
               ReconstructionError(graph, summary));
 
   // 4. Answer queries directly on the summary -- no reconstruction needed.
+  // A SummaryView is the summary's query form: build it once, then answer
+  // any number of queries from it.
+  const SummaryView view(summary);
   const NodeId q = targets[0];
-  auto approx_neighbors = SummaryNeighbors(summary, q);
+  auto approx_neighbors = SummaryNeighbors(view, q);
   std::printf("node %u: %zu approximate neighbors (true degree %llu)\n", q,
               approx_neighbors.size(),
               static_cast<unsigned long long>(graph.degree(q)));
 
-  auto approx_hops = FastSummaryHopDistances(summary, q);
+  auto approx_hops = FastSummaryHopDistances(view, q);
   auto exact_hops = ExactHopDistances(graph, q);
   size_t exact_matches = 0;
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
@@ -79,7 +82,7 @@ int main(int argc, char** argv) {
   std::printf("HOP query at %u: %.1f%% of distances exact\n", q,
               100.0 * exact_matches / graph.num_nodes());
 
-  auto approx_rwr = SummaryRwrScores(summary, q);
+  auto approx_rwr = SummaryRwrScores(view, q);
   auto exact_rwr = ExactRwrScores(graph, q);
   // Report the rank of the true top-10 under the approximate scores.
   std::printf("RWR query at %u: approx score of q = %.4g (exact %.4g)\n", q,

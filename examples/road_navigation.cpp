@@ -13,7 +13,7 @@
 #include "src/graph/bfs.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 
 using namespace pegasus;  // NOLINT: example brevity
 
@@ -33,7 +33,7 @@ int main() {
   std::printf("map summary: %u supernodes at 30%% of the bits\n",
               result.summary.num_supernodes());
 
-  auto approx = FastSummaryHopDistances(result.summary, traveler);
+  auto approx = FastSummaryHopDistances(SummaryView(result.summary), traveler);
   auto exact = ExactHopDistances(roads, traveler);
 
   // Accuracy by ring distance from the traveler.

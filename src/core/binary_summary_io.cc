@@ -63,52 +63,6 @@ int64_t FindSlot(const SummaryLayout& l, uint32_t row, uint32_t dst) {
   return it - l.edge_dst;
 }
 
-// Superedge symmetry + header count: every cross edge is stored from both
-// endpoints with equal weight, and the header's undirected count matches
-// the CSR (2·|P| = slots + self-loops). Shared by LoadSummaryBinary and
-// ValidatePsb; assumes CheckLayoutBounds passed.
-Status CheckEdgeSymmetryAndCount(const SummaryLayout& l,
-                                 const std::string& path) {
-  uint64_t pairs = 0, self_loops = 0;
-  const uint32_t s = static_cast<uint32_t>(l.num_supernodes);
-  for (uint32_t a = 0; a < s; ++a) {
-    for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
-      const uint32_t b = l.edge_dst[i];
-      if (b == a) {
-        ++self_loops;
-        ++pairs;
-        continue;
-      }
-      if (b > a) ++pairs;
-      const int64_t back = FindSlot(l, b, a);
-      if (back < 0) {
-        return Corrupt(path, "superedge {" + std::to_string(a) + ", " +
-                                 std::to_string(b) +
-                                 "} is not stored from both endpoints");
-      }
-      if (l.edge_weight[back] != l.edge_weight[i]) {
-        return Corrupt(path, "superedge {" + std::to_string(a) + ", " +
-                                 std::to_string(b) +
-                                 "} has different weights in its two rows");
-      }
-    }
-  }
-  if (pairs != l.num_superedges) {
-    return Corrupt(path, "header declares " +
-                             std::to_string(l.num_superedges) +
-                             " superedges but the CSR stores " +
-                             std::to_string(pairs));
-  }
-  if (2 * pairs != l.num_edge_slots + self_loops) {
-    return Corrupt(path, "edge slot count " +
-                             std::to_string(l.num_edge_slots) +
-                             " inconsistent with " + std::to_string(pairs) +
-                             " superedges and " + std::to_string(self_loops) +
-                             " self-loops");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Status SaveSummaryBinary(const SummaryLayout& layout, const std::string& path,
@@ -268,6 +222,62 @@ Status CheckLayoutBounds(const SummaryLayout& l, const std::string& path) {
                       "slot " + std::to_string(i) + " has weight 0");
       }
     }
+  }
+  return Status::Ok();
+}
+
+Status CheckEdgeSymmetryAndCount(const SummaryLayout& l,
+                                 const std::string& path) {
+  uint64_t pairs = 0, self_loops = 0;
+  const uint32_t s = static_cast<uint32_t>(l.num_supernodes);
+  const auto Superedge = [](uint32_t a, uint32_t b) {
+    return "superedge {" + std::to_string(a) + ", " + std::to_string(b) + "}";
+  };
+  for (uint32_t a = 0; a < s; ++a) {
+    const double self_uw = l.self_density_uw[a];
+    if (self_uw != 0.0 && self_uw != 1.0) {
+      return Corrupt(path, SectionLabel(13) + ": supernode " +
+                               std::to_string(a) + " is neither 0.0 nor 1.0");
+    }
+    for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
+      if (l.edge_density_uw[i] != 1.0) {
+        return Corrupt(path, SectionLabel(8) + ": slot " + std::to_string(i) +
+                                 " is not the constant 1.0");
+      }
+      const uint32_t b = l.edge_dst[i];
+      if (b == a) {
+        ++self_loops;
+        ++pairs;
+        continue;
+      }
+      if (b > a) ++pairs;
+      const int64_t back = FindSlot(l, b, a);
+      if (back < 0) {
+        return Corrupt(path, Superedge(a, b) +
+                                 " is not stored from both endpoints");
+      }
+      if (l.edge_weight[back] != l.edge_weight[i]) {
+        return Corrupt(path, Superedge(a, b) +
+                                 " has different weights in its two rows");
+      }
+      if (l.edge_density_w[back] != l.edge_density_w[i]) {
+        return Corrupt(path, SectionLabel(7) + ": " + Superedge(a, b) +
+                                 " has different densities in its two rows");
+      }
+    }
+  }
+  if (pairs != l.num_superedges) {
+    return Corrupt(path, "header declares " +
+                             std::to_string(l.num_superedges) +
+                             " superedges but the CSR stores " +
+                             std::to_string(pairs));
+  }
+  if (2 * pairs != l.num_edge_slots + self_loops) {
+    return Corrupt(path, "edge slot count " +
+                             std::to_string(l.num_edge_slots) +
+                             " inconsistent with " + std::to_string(pairs) +
+                             " superedges and " + std::to_string(self_loops) +
+                             " self-loops");
   }
   return Status::Ok();
 }

@@ -61,9 +61,21 @@ StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 // Linear structural pass over decoded/mapped arrays: CSR offset arrays
 // start at 0, ascend, and end at the declared totals; every stored id is
 // in range; edge rows strictly ascend (the canonical order); weights are
-// nonzero. Cheap enough to run on every arena map.
+// nonzero. SummaryArena::Map runs it, then CheckEdgeSymmetryAndCount,
+// on every file it serves.
 [[nodiscard]]
 Status CheckLayoutBounds(const SummaryLayout& layout, const std::string& path);
+
+// Linear pass over arrays that passed CheckLayoutBounds, enforcing the
+// edge invariants the iterative kernels rely on: every cross superedge
+// is stored from both endpoints with equal weight and equal weighted
+// density (section 7), every unweighted density is 1.0 (section 8),
+// every unweighted self-density is 0.0 or 1.0 (section 13), and the
+// header's superedge count matches the CSR (2·|P| = slots + self-loops).
+// kDataLoss naming the violation.
+[[nodiscard]]
+Status CheckEdgeSymmetryAndCount(const SummaryLayout& layout,
+                                 const std::string& path);
 
 // Shared header/body count validation (text and binary loaders): every
 // supernode id in [0, declared_supernodes) must be used by at least one
@@ -78,10 +90,9 @@ Status CheckLayoutBounds(const SummaryLayout& layout, const std::string& path);
 // (ParsePsbHeader), every section checksum (failures name the section),
 // zero inter-section padding, decode, CheckLayoutBounds, member lists
 // grouped consistently with node_to_super (each node exactly once, in its
-// own supernode's range, ascending within it), superedge symmetry ({a,b} stored from both
-// endpoints with equal weight), the header superedge count against the
-// CSR (2·|P| = slots + self-loops), and bitwise recomputation of the five
-// statistics sections and two density sections from the structural ones.
+// own supernode's range, ascending within it), CheckEdgeSymmetryAndCount,
+// and bitwise recomputation of the five statistics sections and two
+// density sections from the structural ones.
 [[nodiscard]]
 Status ValidatePsb(const uint8_t* data, size_t size, const std::string& path);
 

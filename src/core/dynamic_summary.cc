@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "src/graph/graph_builder.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 
 namespace pegasus {
 
@@ -14,6 +15,14 @@ Edge Canonical(NodeId u, NodeId v) {
   return u < v ? Edge{u, v} : Edge{v, u};
 }
 }  // namespace
+
+DynamicSummary::DynamicSummary(Graph graph, std::vector<NodeId> targets,
+                               Options options, SummaryGraph summary)
+    : graph_(std::move(graph)),
+      targets_(std::move(targets)),
+      options_(options),
+      summary_(std::move(summary)),
+      view_(std::make_shared<const SummaryView>(summary_)) {}
 
 StatusOr<DynamicSummary> DynamicSummary::Create(Graph graph,
                                                 std::vector<NodeId> targets,
@@ -80,7 +89,7 @@ std::vector<NodeId> DynamicSummary::ExactNeighbors(NodeId u) const {
 }
 
 std::vector<NodeId> DynamicSummary::ApproximateNeighbors(NodeId u) const {
-  std::vector<NodeId> base = SummaryNeighbors(summary_, u);
+  std::vector<NodeId> base = SummaryNeighbors(*view_, u);
   std::vector<NodeId> out;
   out.reserve(base.size());
   for (NodeId v : base) {
@@ -124,6 +133,7 @@ void DynamicSummary::Rebuild() {
   // changes, so a rebuild cannot fail; anything else is a library bug.
   assert(result.ok());
   summary_ = std::move(*result).summary;
+  view_ = std::make_shared<const SummaryView>(summary_);
   ++rebuild_count_;
 }
 

@@ -16,6 +16,7 @@
 #define PEGASUS_CORE_DYNAMIC_SUMMARY_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -25,6 +26,8 @@
 #include "src/util/status.h"
 
 namespace pegasus {
+
+class SummaryView;
 
 class DynamicSummary {
  public:
@@ -69,6 +72,10 @@ class DynamicSummary {
   // The current summary (of the base graph, excluding the delta).
   const SummaryGraph& summary() const { return summary_; }
 
+  // The query view of summary(), built once per Create/Rebuild. Shared,
+  // so QueryService::Publish(dynamic) serves it without a second build.
+  const std::shared_ptr<const SummaryView>& view() const { return view_; }
+
   // Pending delta size and rebuild count (for monitoring/tests).
   size_t delta_size() const { return added_.size() + removed_.size(); }
   int rebuild_count() const { return rebuild_count_; }
@@ -78,11 +85,7 @@ class DynamicSummary {
 
  private:
   DynamicSummary(Graph graph, std::vector<NodeId> targets, Options options,
-                 SummaryGraph summary)
-      : graph_(std::move(graph)),
-        targets_(std::move(targets)),
-        options_(options),
-        summary_(std::move(summary)) {}
+                 SummaryGraph summary);
 
   void MaybeRebuild();
 
@@ -90,6 +93,7 @@ class DynamicSummary {
   std::vector<NodeId> targets_;
   Options options_;
   SummaryGraph summary_;
+  std::shared_ptr<const SummaryView> view_;  // of summary_
   std::set<Edge> added_;    // in overlay, not in base
   std::set<Edge> removed_;  // in base, deleted by overlay
   int rebuild_count_ = 0;

@@ -1,23 +1,6 @@
 #include "src/core/kernel_plan.h"
 
-#include <algorithm>
-
 namespace pegasus {
-
-namespace {
-
-// Slot index of b inside a's full CSR row, or -1. Rows are ascending in
-// any layout that passed structural validation; Build() independently
-// re-checks order so a malformed file cannot make this search lie.
-int64_t FindSlot(const SummaryLayout& layout, uint32_t a, uint32_t b) {
-  const uint32_t* begin = layout.edge_dst + layout.edge_begin[a];
-  const uint32_t* end = layout.edge_dst + layout.edge_begin[a + 1];
-  const uint32_t* it = std::lower_bound(begin, end, b);
-  if (it == end || *it != b) return -1;
-  return it - layout.edge_dst;
-}
-
-}  // namespace
 
 KernelPlan KernelPlan::Build(const SummaryLayout& layout) {
   const uint32_t s = static_cast<uint32_t>(layout.num_supernodes);
@@ -29,22 +12,13 @@ KernelPlan KernelPlan::Build(const SummaryLayout& layout) {
   plan.self_den_w.assign(s, 0.0);
   plan.self_rate_w.assign(s, 0.0);
   plan.self_rate_uw.assign(s, 0.0);
-  plan.uniform_uw = true;
-  plan.well_formed = true;
 
   plan.row_begin[0] = 0;
   for (uint32_t a = 0; a < s; ++a) {
-    uint32_t prev = 0;
-    bool first = true;
     for (uint64_t i = layout.edge_begin[a]; i < layout.edge_begin[a + 1];
          ++i) {
       const uint32_t b = layout.edge_dst[i];
-      if (!first && b <= prev) plan.well_formed = false;  // unsorted or dup
-      first = false;
-      prev = b;
-      if (layout.edge_density_uw[i] != 1.0) plan.uniform_uw = false;
       if (b == a) {
-        if (plan.self_split[a] != kNoSelf) plan.well_formed = false;
         plan.self_split[a] =
             static_cast<uint32_t>(plan.dst.size() - plan.row_begin[a]);
         plan.self_den_w[a] = layout.edge_density_w[i];
@@ -63,22 +37,6 @@ KernelPlan KernelPlan::Build(const SummaryLayout& layout) {
     const double sd_uw = layout.self_density_uw[a];
     const double md_uw = layout.member_deg_uw[a];
     if (sd_uw > 0.0 && md_uw > 0.0) plan.self_rate_uw[a] = sd_uw / md_uw;
-    if (sd_uw != 0.0 && sd_uw != 1.0) plan.uniform_uw = false;
-  }
-
-  // Symmetry: every compacted slot (b -> a) must be stored from a too,
-  // with the same weighted density, for gather order == scatter order.
-  plan.symmetric = plan.well_formed;
-  if (plan.symmetric) {
-    for (uint32_t b = 0; b < s && plan.symmetric; ++b) {
-      for (uint64_t i = plan.row_begin[b]; i < plan.row_begin[b + 1]; ++i) {
-        const int64_t rev = FindSlot(layout, plan.dst[i], b);
-        if (rev < 0 || layout.edge_density_w[rev] != plan.den_w[i]) {
-          plan.symmetric = false;
-          break;
-        }
-      }
-    }
   }
   return plan;
 }

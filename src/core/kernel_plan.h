@@ -27,24 +27,24 @@
 // Byte-identity contract: a kernel running over these arrays adds the
 // same values in the same order as the reference sweep over the raw
 // layout, so scores are bit-for-bit identical (goldens in
-// tests/test_util.h do not move). Two properties are *verified*, not
-// assumed, at build time because they gate that equivalence:
+// tests/test_util.h do not move). That equivalence rests on three
+// layout invariants, which a plan assumes rather than re-checks:
 //
-//   * `symmetric`: every cross superedge is stored from both endpoints
-//     with equal weighted density. The fused RWR/PageRank kernels
-//     gather along row b (ascending source order) instead of
-//     scattering along row a; the two orders visit identical values
-//     only when densities are symmetric. Built views are symmetric by
-//     construction; a PSB1 file is validated here because
-//     SummaryArena::Map's structural checks do not cover symmetry.
-//   * `uniform_uw`: every unweighted density (cross and self) is the
-//     constant 1.0, letting the unweighted kernels drop the multiply
-//     (x * 1.0 == x bitwise). True for every well-formed summary; a
-//     file that violates it merely falls back.
+//   * rows strictly ascend, so each row holds at most one self slot;
+//   * every cross superedge is stored from both endpoints with equal
+//     weighted density. The fused RWR/PageRank kernels gather along row
+//     b (ascending source order) instead of scattering along row a; the
+//     two orders visit identical values only when densities are
+//     symmetric;
+//   * every unweighted density (cross and self) is 1.0 or, for a
+//     missing self-loop, 0.0, letting the unweighted kernels drop the
+//     multiply (x * 1.0 == x bitwise).
 //
-// When a gate fails the plan stays usable as metadata and the kernels
-// fall back to the reference sweeps — behaviour, not speed, is
-// preserved for malformed input.
+// Built views hold all three by construction. A PSB1 file is checked by
+// SummaryArena::Map (CheckLayoutBounds + CheckEdgeSymmetryAndCount in
+// src/core/binary_summary_io.h) and rejected with kDataLoss before a
+// plan is derived from it, so there is one kernel per query family and
+// no fallback.
 
 #ifndef PEGASUS_CORE_KERNEL_PLAN_H_
 #define PEGASUS_CORE_KERNEL_PLAN_H_
@@ -72,30 +72,13 @@ struct KernelPlan {
   std::vector<double> self_rate_w;   // self_density_w / member_deg_w (else 0)
   std::vector<double> self_rate_uw;  // self_density_uw / member_deg_uw
 
-  // Verified properties (see header comment).
-  bool uniform_uw = false;
-  bool symmetric = false;
-  // False if a row is unsorted or holds duplicate self slots — only a
-  // malformed file can produce that; all fused kernels then stand down.
-  bool well_formed = false;
-
   uint32_t num_rows() const {
     return row_begin.empty() ? 0u
                              : static_cast<uint32_t>(row_begin.size() - 1);
   }
 
-  // True when the fused gather kernels (RWR / PageRank) may run.
-  bool GatherOk(bool weighted) const {
-    return well_formed && symmetric && (weighted || uniform_uw);
-  }
-  // True when the fused segmented kernel (PHP) may run — PHP gathers
-  // along its own row in the reference too, so symmetry is not needed.
-  bool SegmentedOk(bool weighted) const {
-    return well_formed && (weighted || uniform_uw);
-  }
-
-  // Derives a plan from serving arrays. Never fails: gates that cannot
-  // be established are recorded as false and the kernels fall back.
+  // Derives a plan from serving arrays. Precondition: `layout` belongs
+  // to a built SummaryView, or passed the arena checks (see above).
   static KernelPlan Build(const SummaryLayout& layout);
 };
 

@@ -116,21 +116,13 @@ Status ValidateSummarizationInputs(const Graph& graph,
   return Status::Ok();
 }
 
-StatusOr<SummarizationResult> SummarizeGraph(
-    const Graph& graph, const std::vector<NodeId>& targets,
-    double budget_bits, const PegasusConfig& config) {
-  return SummarizeGraphFrom(graph, targets, budget_bits,
-                            SummaryGraph::Identity(graph), config);
-}
-
 namespace {
 
-// SummarizeGraphFrom on `pool` when non-null (parallel engine only), else
-// on an executor of config.num_threads workers owned by this call.
+// SummarizeGraph on `pool` when non-null (parallel engine only), else on
+// an executor of config.num_threads workers owned by this call.
 StatusOr<SummarizationResult> Summarize(const Graph& graph,
                                         const std::vector<NodeId>& targets,
                                         double budget_bits,
-                                        SummaryGraph initial,
                                         const PegasusConfig& config,
                                         Executor* pool) {
   if (Status s = ValidateSummarizationInputs(graph, targets, budget_bits,
@@ -138,14 +130,9 @@ StatusOr<SummarizationResult> Summarize(const Graph& graph,
       !s) {
     return s;
   }
-  if (initial.num_nodes() != graph.num_nodes()) {
-    return Status::InvalidArgument(
-        "initial summary has " + std::to_string(initial.num_nodes()) +
-        " nodes, graph has " + std::to_string(graph.num_nodes()));
-  }
   Timer timer;
   SummarizationResult result;
-  result.summary = std::move(initial);
+  result.summary = SummaryGraph::Identity(graph);
   SummaryGraph& summary = result.summary;
 
   const PersonalWeights weights =
@@ -197,18 +184,16 @@ StatusOr<SummarizationResult> Summarize(const Graph& graph,
 
 }  // namespace
 
-StatusOr<SummarizationResult> SummarizeGraphFrom(
+StatusOr<SummarizationResult> SummarizeGraph(
     const Graph& graph, const std::vector<NodeId>& targets,
-    double budget_bits, SummaryGraph initial, const PegasusConfig& config) {
-  return Summarize(graph, targets, budget_bits, std::move(initial), config,
-                   /*pool=*/nullptr);
+    double budget_bits, const PegasusConfig& config) {
+  return Summarize(graph, targets, budget_bits, config, /*pool=*/nullptr);
 }
 
 StatusOr<SummarizationResult> internal::SummarizeGraphOn(
     Executor& pool, const Graph& graph, const std::vector<NodeId>& targets,
     double budget_bits, const PegasusConfig& config) {
-  return Summarize(graph, targets, budget_bits, SummaryGraph::Identity(graph),
-                   config, &pool);
+  return Summarize(graph, targets, budget_bits, config, &pool);
 }
 
 StatusOr<SummarizationResult> SummarizeGraphToRatio(

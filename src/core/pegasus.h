@@ -109,16 +109,6 @@ struct SummarizationResult {
     const Graph& graph, const std::vector<NodeId>& targets, double ratio,
     const PegasusConfig& config = {});
 
-// Runs the same pipeline starting from an existing summary of `graph`
-// instead of the identity summary — used to *continue coarsening* toward a
-// smaller budget (see SummaryHierarchy). The initial summary's partition
-// and superedges are taken as-is; a node-count mismatch between `initial`
-// and `graph` is kInvalidArgument.
-[[nodiscard]] StatusOr<SummarizationResult> SummarizeGraphFrom(
-    const Graph& graph, const std::vector<NodeId>& targets,
-    double budget_bits, SummaryGraph initial,
-    const PegasusConfig& config = {});
-
 namespace internal {
 
 // SummarizeGraph for callers that run several summarizations on one

@@ -77,7 +77,7 @@ SummaryArena::~SummaryArena() {
 }
 
 StatusOr<std::shared_ptr<const SummaryArena>> SummaryArena::Map(
-    const std::string& path, const Options& opts) {
+    const std::string& path) {
   // shared_ptr with access to the private ctor.
   std::shared_ptr<SummaryArena> arena(new SummaryArena());
   arena->path_ = path;
@@ -102,32 +102,17 @@ StatusOr<std::shared_ptr<const SummaryArena>> SummaryArena::Map(
             return header.status();
           }
           if (AllSectionsRaw(*header)) {
-            const uint8_t* bytes = static_cast<const uint8_t*>(base);
-            if (opts.verify_checksums) {
-              if (Status st2 = psb::VerifySectionChecksums(bytes, *header,
-                                                           path);
-                  !st2) {
-                munmap(base, size);
-                return st2;
-              }
-            }
             arena->map_base_ = base;
             arena->map_size_ = size;
             arena->header_ = *std::move(header);
-            arena->layout_ = LayoutOverImage(bytes, arena->header_);
-            if (opts.validate_structure) {
-              if (Status st2 = CheckLayoutBounds(arena->layout_, path); !st2) {
-                return st2;  // arena dtor unmaps
-              }
-            }
-            arena->plan_ = std::make_shared<const KernelPlan>(
-                KernelPlan::Build(arena->layout_));
-            return std::shared_ptr<const SummaryArena>(std::move(arena));
+            arena->layout_ = LayoutOverImage(static_cast<const uint8_t*>(base),
+                                             arena->header_);
+          } else {
+            // Compact sections: fall through to the heap decoder (which
+            // re-reads the file; simpler than decoding out of the map and
+            // this path is not the serving fast path).
+            munmap(base, size);
           }
-          // Compact sections: fall through to the heap decoder (which
-          // re-reads the file; simpler than decoding out of the map and
-          // this path is not the serving fast path).
-          munmap(base, size);
         } else {
           close(fd);
         }
@@ -138,21 +123,26 @@ StatusOr<std::shared_ptr<const SummaryArena>> SummaryArena::Map(
   }
 #endif
 
-  // Fallback: read + byte-wise decode into owned arrays. Taken for
-  // compact files, big-endian hosts, and any mmap/open failure (the
-  // decoder re-reports open failures as kNotFound with the real errno
-  // context lost, which matches the text loader's behavior).
-  auto bytes = ReadFileBytes(path);
-  if (!bytes) return bytes.status();
-  auto decoded = psb::DecodePsb(bytes->data(), bytes->size(), path,
-                                opts.verify_checksums);
-  if (!decoded) return decoded.status();
-  arena->decoded_ =
-      std::make_unique<psb::PsbDecoded>(*std::move(decoded));
-  arena->header_ = arena->decoded_->header;
-  arena->layout_ = arena->decoded_->layout();
-  if (opts.validate_structure) {
-    if (Status st = CheckLayoutBounds(arena->layout_, path); !st) return st;
+  if (!arena->mapped()) {
+    // Read + byte-wise decode into owned arrays. Taken for compact files,
+    // big-endian hosts, and any mmap/open failure (the decoder re-reports
+    // open failures as kNotFound with the real errno context lost, which
+    // matches the text loader's behavior).
+    auto bytes = ReadFileBytes(path);
+    if (!bytes) return bytes.status();
+    auto decoded = psb::DecodePsb(bytes->data(), bytes->size(), path,
+                                  /*verify_checksums=*/false);
+    if (!decoded) return decoded.status();
+    arena->decoded_ = std::make_unique<psb::PsbDecoded>(*std::move(decoded));
+    arena->header_ = arena->decoded_->header;
+    arena->layout_ = arena->decoded_->layout();
+  }
+
+  // One validation tail for both backings. A file that fails it never
+  // reaches a query kernel (the arena dtor unmaps on the error returns).
+  if (Status st = CheckLayoutBounds(arena->layout_, path); !st) return st;
+  if (Status st = CheckEdgeSymmetryAndCount(arena->layout_, path); !st) {
+    return st;
   }
   arena->plan_ =
       std::make_shared<const KernelPlan>(KernelPlan::Build(arena->layout_));

@@ -16,6 +16,17 @@
 //     host, or an mmap failure) — the byte-wise decoder produces the same
 //     arrays, just owned. mapped() tells you which path you got.
 //
+// Either backing then runs the same two linear passes before anything
+// can query the arrays (docs/FORMAT.md, "Verification policy"):
+// CheckLayoutBounds (CSR offsets, id ranges, strictly ascending rows,
+// nonzero weights) and CheckEdgeSymmetryAndCount (every cross superedge
+// stored from both endpoints with equal weight and weighted density,
+// unweighted densities 1.0, unweighted self-densities 0.0 or 1.0, and
+// the header's superedge count). A file that breaks one is kDataLoss
+// here, so the fused kernels never see a layout they cannot serve.
+// Checksums are not verified: the point of the arena is instant
+// restart. LoadSummaryBinary and `pegasus view --validate` verify them.
+//
 // An arena is immutable and thread-safe after Map(). SummaryView holds a
 // shared_ptr to the arena it was constructed over, which keeps the
 // mapping alive for as long as any epoch still serves from it.
@@ -35,28 +46,14 @@
 
 namespace pegasus {
 
-struct SummaryArenaOptions {
-  // Recompute every section's FNV-1a checksum before serving. Off by
-  // default: the point of the arena is instant restart, and the
-  // structural pass below already rejects files that would crash the
-  // query kernels. `pegasus view --validate` / LoadSummaryBinary do
-  // full verification.
-  bool verify_checksums = false;
-  // One linear pass over the arrays (CheckLayoutBounds): CSR offsets
-  // monotone and matching the header counts, ids in range, rows in
-  // canonical order, weights nonzero. Keep this on unless the file was
-  // just validated by the same process.
-  bool validate_structure = true;
-};
-
 class SummaryArena {
  public:
-  using Options = SummaryArenaOptions;
-
-  // Maps (or decodes) the PSB1 file at `path`. kNotFound if it cannot be
-  // opened, kDataLoss naming the violation otherwise.
+  // Maps (or decodes) the PSB1 file at `path` and runs the checks
+  // described above. kNotFound if it cannot be opened, kDataLoss naming
+  // the violation (and the section, where one array is at fault)
+  // otherwise.
   [[nodiscard]] static StatusOr<std::shared_ptr<const SummaryArena>> Map(
-      const std::string& path, const Options& opts = {});
+      const std::string& path);
 
   ~SummaryArena();
   SummaryArena(const SummaryArena&) = delete;

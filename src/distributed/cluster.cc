@@ -3,7 +3,7 @@
 #include <string>
 #include <utility>
 
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "src/shard/shard_build.h"
 
 namespace pegasus {
@@ -21,6 +21,13 @@ StatusOr<SummaryCluster> SummaryCluster::Build(
   SummaryCluster cluster;
   cluster.partition_ = partition;
   cluster.summaries_ = std::move(*summaries);
+  cluster.views_.reserve(cluster.summaries_.size());
+  for (const SummaryGraph& summary : cluster.summaries_) {
+    // Each machine's view is built once here and reused by every query
+    // routed to that machine.
+    // lint: hot-snapshot-ok(one view per machine, at build time only)
+    cluster.views_.push_back(std::make_shared<const SummaryView>(summary));
+  }
   return cluster;
 }
 
@@ -31,18 +38,18 @@ double SummaryCluster::TotalBits() const {
 }
 
 std::vector<uint32_t> SummaryCluster::AnswerHop(NodeId q) const {
-  return FastSummaryHopDistances(summaries_[MachineOf(q)], q);
+  return FastSummaryHopDistances(*views_[MachineOf(q)], q);
 }
 
 std::vector<double> SummaryCluster::AnswerRwr(
     NodeId q, double restart_prob, const IterativeQueryOptions& opts) const {
-  return SummaryRwrScores(summaries_[MachineOf(q)], q, restart_prob,
+  return SummaryRwrScores(*views_[MachineOf(q)], q, restart_prob,
                           /*weighted=*/true, opts);
 }
 
 std::vector<double> SummaryCluster::AnswerPhp(
     NodeId q, double decay, const IterativeQueryOptions& opts) const {
-  return SummaryPhpScores(summaries_[MachineOf(q)], q, decay,
+  return SummaryPhpScores(*views_[MachineOf(q)], q, decay,
                           /*weighted=*/true, opts);
 }
 

@@ -20,6 +20,7 @@
 #define PEGASUS_DISTRIBUTED_CLUSTER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/core/pegasus.h"
@@ -30,6 +31,8 @@
 #include "src/util/status.h"
 
 namespace pegasus {
+
+class SummaryView;
 
 class SummaryCluster {
  public:
@@ -58,7 +61,8 @@ class SummaryCluster {
   // Total bits held across machines (weighted encoding, as stored).
   double TotalBits() const;
 
-  // Query answering, routed to the responsible machine.
+  // Query answering, routed to the responsible machine and answered from
+  // the view Build() made of its summary.
   std::vector<uint32_t> AnswerHop(NodeId q) const;
   std::vector<double> AnswerRwr(NodeId q, double restart_prob = 0.05,
                                 const IterativeQueryOptions& opts = {}) const;
@@ -68,6 +72,7 @@ class SummaryCluster {
  private:
   Partition partition_;
   std::vector<SummaryGraph> summaries_;
+  std::vector<std::shared_ptr<const SummaryView>> views_;  // one per machine
 };
 
 }  // namespace pegasus

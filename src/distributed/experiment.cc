@@ -2,7 +2,7 @@
 
 #include "src/eval/metrics.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 
 namespace pegasus {
 
@@ -92,14 +92,15 @@ AccuracyResult MeasureSummaryAccuracy(const Graph& graph,
                                       const std::vector<NodeId>& queries,
                                       QueryType type,
                                       const GroundTruth* truth) {
+  const SummaryView view(summary);
   return Measure(graph, queries, type, truth, [&](NodeId q) {
     switch (type) {
       case QueryType::kRwr:
-        return SummaryRwrScores(summary, q);
+        return SummaryRwrScores(view, q);
       case QueryType::kHop:
-        return HopVectorForScoring(FastSummaryHopDistances(summary, q));
+        return HopVectorForScoring(FastSummaryHopDistances(view, q));
       case QueryType::kPhp:
-        return SummaryPhpScores(summary, q);
+        return SummaryPhpScores(view, q);
     }
     return std::vector<double>{};
   });

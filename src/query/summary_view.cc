@@ -385,8 +385,9 @@ std::vector<double> SummaryPageRankReference(
 //
 // One pass per sweep instead of the reference's scatter + apply passes:
 // row b gathers its incoming mass (ascending source order — identical
-// to the order the reference's ascending-a scatter deposited it, which
-// KernelPlan::symmetric guarantees visits equal densities), applies the
+// to the order the reference's ascending-a scatter deposited it, with
+// equal densities because every layout a plan is built from stores each
+// superedge symmetrically — see kernel_plan.h), applies the
 // hoisted self rate, updates the score, and computes the *next* sweep's
 // outflow rate inline. Rates are double-buffered (ping/pong) because
 // row b's gather still needs earlier rows' previous-sweep rates.
@@ -697,9 +698,6 @@ std::vector<double> SummaryRwrScores(const SummaryView& view, NodeId q,
                                      const IterativeQueryOptions& opts,
                                      KernelScratch* scratch) {
   const KernelPlan& plan = view.kernel_plan();
-  if (!plan.GatherOk(weighted)) {
-    return SummaryRwrScoresReference(view, q, restart_prob, weighted, opts);
-  }
   KernelScratch local;
   KernelScratch& sc = scratch != nullptr ? *scratch : local;
   return weighted ? FusedRwr<true>(view, plan, q, restart_prob, opts, sc)
@@ -711,9 +709,6 @@ std::vector<double> SummaryPhpScores(const SummaryView& view, NodeId q,
                                      const IterativeQueryOptions& opts,
                                      KernelScratch* scratch) {
   const KernelPlan& plan = view.kernel_plan();
-  if (!plan.SegmentedOk(weighted)) {
-    return SummaryPhpScoresReference(view, q, decay, weighted, opts);
-  }
   KernelScratch local;
   KernelScratch& sc = scratch != nullptr ? *scratch : local;
   return weighted ? FusedPhp<true>(view, plan, q, decay, opts, sc)
@@ -725,9 +720,6 @@ std::vector<double> SummaryPageRank(const SummaryView& view, double damping,
                                     const IterativeQueryOptions& opts,
                                     KernelScratch* scratch) {
   const KernelPlan& plan = view.kernel_plan();
-  if (!plan.GatherOk(weighted)) {
-    return SummaryPageRankReference(view, damping, weighted, opts);
-  }
   KernelScratch local;
   KernelScratch& sc = scratch != nullptr ? *scratch : local;
   return weighted ? FusedPageRank<true>(view, plan, damping, opts, sc)

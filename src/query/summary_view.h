@@ -1,7 +1,9 @@
 // SummaryView — an immutable, query-optimized snapshot of a SummaryGraph.
 //
-// The summary query processors (summary_queries.h) answer every request
-// from three per-supernode quantities: the member count |A|, the shared
+// The summary query families (paper Appendix A, Algs. 4-6, plus the
+// degree, PageRank and clustering extensions) are declared at the end of
+// this header, and answer every request from three per-supernode
+// quantities: the member count |A|, the shared
 // member degree of A in Ĝ, and the block density of each superedge. The
 // mutable SummaryGraph stores only superedge weights, in per-supernode
 // rows built for mutation, so answering straight off it would recompute
@@ -46,13 +48,14 @@
 // libraries, thread counts, and processes — the cross-stdlib goldens in
 // tests/determinism_test.cc pin exactly this.
 //
-// Iterative-kernel fast path: both constructors attach a KernelPlan
+// Iterative kernels: both constructors attach a KernelPlan
 // (src/core/kernel_plan.h) — flat transition arrays derived from the
 // layout once — and the RWR / PHP / PageRank kernels run fused
-// branch-free sweeps over it, falling back to the reference sweeps
-// (Summary*Reference below) when a plan gate fails. Fast path and
-// reference path return bit-identical scores; the golden hashes in
-// tests/test_util.h pin both.
+// branch-free sweeps over it. That is the only production path: a PSB1
+// file the plan could not serve is rejected by SummaryArena::Map. The
+// reference sweeps (Summary*Reference below) are the oracle the fused
+// ones are byte-compared against; the golden hashes in tests/test_util.h
+// pin the bytes.
 //
 // Thread-safety: a SummaryView is deeply const after construction; any
 // number of threads may query it concurrently (the batched engine in
@@ -83,9 +86,8 @@ class SummaryView {
   explicit SummaryView(const SummaryGraph& summary);
 
   // Serves straight off a PSB1 arena: no arrays are built, accessors
-  // alias the arena's memory (mapped file or decoded heap copy). The
-  // arena must have passed its structural checks (SummaryArena::Map
-  // defaults do).
+  // alias the arena's memory (mapped file or decoded heap copy), which
+  // SummaryArena::Map has already checked.
   explicit SummaryView(std::shared_ptr<const SummaryArena> arena);
 
   SummaryView(const SummaryView&) = delete;
@@ -144,7 +146,7 @@ class SummaryView {
   // |A| as a double (every query consumes it as one).
   double member_count(uint32_t a) const { return layout_.member_count[a]; }
 
-  // Weighted degree shared by every member of a in Ĝ (summary_queries.h).
+  // Weighted degree shared by every member of a in Ĝ.
   double member_degree(uint32_t a, bool weighted) const {
     return weighted ? layout_.member_deg_w[a] : layout_.member_deg_uw[a];
   }
@@ -206,14 +208,25 @@ class SummaryView {
 
 // --- Query families over a view -------------------------------------------
 //
-// These overloads mirror summary_queries.h exactly (Algs. 4-6 and the
-// extension queries); the SummaryGraph versions there are now thin
-// wrappers that construct a view and delegate here.
+// The one query API over a summary: build (or map) a view once and
+// answer every query from it. The neighborhood query is the primitive:
+// the approximate neighbors of q are the members of the supernodes
+// adjacent to S_q (including S_q itself when it carries a self-loop),
+// minus q (Alg. 4). HOP/RWR/PHP then run on the reconstructed graph Ĝ
+// without materializing it. Weighted mode reads each superedge's weight
+// (the count of real edges it represents) as a block density, matching
+// the paper's evaluation of weighted summary graphs.
 
+// Alg. 4: approximate neighbors of q in Ĝ (sorted ascending).
 std::vector<NodeId> SummaryNeighbors(const SummaryView& view, NodeId q);
 
+// Alg. 5, faithful node-level BFS on Ĝ through SummaryNeighbors (for
+// validation and small graphs).
 std::vector<uint32_t> SummaryHopDistances(const SummaryView& view, NodeId q);
 
+// Blockwise equivalent of Alg. 5: all members of a supernode other than
+// q are structurally equivalent in Ĝ, so one distance per supernode
+// suffices. Identical output, O(|V| + |P|).
 std::vector<uint32_t> FastSummaryHopDistances(const SummaryView& view,
                                               NodeId q);
 
@@ -221,31 +234,45 @@ std::vector<uint32_t> FastSummaryHopDistances(const SummaryView& view,
 // pass a pooled one (src/query/kernel_scratch.h) so steady state does
 // no internal allocations; nullptr means per-call temporaries.
 
+// Alg. 6-equivalent RWR on Ĝ; blockwise power iteration.
 std::vector<double> SummaryRwrScores(const SummaryView& view, NodeId q,
                                      double restart_prob = 0.05,
                                      bool weighted = true,
                                      const IterativeQueryOptions& opts = {},
                                      KernelScratch* scratch = nullptr);
 
+// PHP on Ĝ; blockwise fixed-point iteration.
 std::vector<double> SummaryPhpScores(const SummaryView& view, NodeId q,
                                      double decay = 0.95, bool weighted = true,
                                      const IterativeQueryOptions& opts = {},
                                      KernelScratch* scratch = nullptr);
 
+// Per-node (weighted) degrees in Ĝ. O(|V|).
 std::vector<double> SummaryDegrees(const SummaryView& view,
                                    bool weighted = true);
 
+// PageRank on Ĝ; blockwise power iteration with uniform teleport. All
+// members of a supernode share one score, so the state is O(|S|).
 std::vector<double> SummaryPageRank(const SummaryView& view,
                                     double damping = 0.85,
                                     bool weighted = true,
                                     const IterativeQueryOptions& opts = {},
                                     KernelScratch* scratch = nullptr);
 
+// Local clustering coefficients on Ĝ, computed blockwise: for u in
+// supernode A, the (expected) number of closed wedges is aggregated over
+// pairs of A's neighbor supernodes using block densities. Unweighted mode
+// reproduces the exact coefficients of the materialized Ĝ; weighted mode
+// estimates the input graph's coefficients from densities. O(Σ_A
+// deg_S(A)^2) where deg_S is the superedge degree.
+std::vector<double> SummaryClusteringCoefficients(const SummaryView& view,
+                                                  bool weighted = true);
+
 // --- Reference sweeps -------------------------------------------------------
 //
-// The pre-KernelPlan formulations, kept verbatim: the fallback when a
-// plan gate fails (see KernelPlan::GatherOk / SegmentedOk), the oracle
-// the fused kernels are byte-compared against in tests, and the
+// The pre-KernelPlan formulations, kept verbatim and never dispatched:
+// the query families above always run the fused sweeps. They are the
+// oracle the fused kernels are byte-compared against in tests, and the
 // yardstick bench_kernel_gate's speedup gate measures against. Same
 // bytes as the fused kernels, always.
 
@@ -260,9 +287,6 @@ std::vector<double> SummaryPhpScoresReference(
 std::vector<double> SummaryPageRankReference(
     const SummaryView& view, double damping = 0.85, bool weighted = true,
     const IterativeQueryOptions& opts = {});
-
-std::vector<double> SummaryClusteringCoefficients(const SummaryView& view,
-                                                  bool weighted = true);
 
 }  // namespace pegasus
 

@@ -330,7 +330,7 @@ uint64_t QueryService::Publish(std::shared_ptr<const SummaryView> view) {
 }
 
 uint64_t QueryService::Publish(const DynamicSummary& dynamic) {
-  return Publish(dynamic.summary());
+  return Publish(dynamic.view());
 }
 
 uint64_t QueryService::epoch() const {

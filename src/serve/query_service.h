@@ -220,7 +220,8 @@ class QueryService {
   uint64_t Publish(const SummaryGraph& summary);
   // Publishes an already-built view (shared with the caller).
   uint64_t Publish(std::shared_ptr<const SummaryView> view);
-  // Publishes the dynamic summary's current base summary. Note the exact
+  // Publishes the dynamic summary's current base summary, sharing the
+  // view it already holds (no second build). Note the exact
   // delta overlay is *not* folded in — callers decide when to Rebuild()
   // and re-Publish, trading staleness for rebuild cost.
   uint64_t Publish(const DynamicSummary& dynamic);

@@ -185,13 +185,22 @@ TEST(BinarySummaryIoTest, LoadRejectsFlippedPayload) {
       psb::ParsePsbHeader(pristine.data(), pristine.size(), pristine.size(),
                           path);
   ASSERT_TRUE(header.has_value());
-  auto bytes = pristine;
-  const auto& section = header->sections[4];  // edge_dst
-  bytes[section.offset] ^= 0x01;
-  WriteBytes(path, bytes);
-  const auto loaded = LoadSummaryBinary(path);
-  ASSERT_FALSE(loaded.has_value());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  // A structural section (edge_dst) and a float one (edge_density_w):
+  // either way the checksum fails first and the message names the
+  // section.
+  for (const uint32_t id : {5u, 7u}) {
+    auto bytes = pristine;
+    const auto& section = header->sections[id - 1];
+    ASSERT_EQ(section.id, id);
+    bytes[section.offset + 1] ^= 0x01;
+    WriteBytes(path, bytes);
+    const auto loaded = LoadSummaryBinary(path);
+    ASSERT_FALSE(loaded.has_value()) << psb::SectionName(id);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(loaded.status().ToString().find(psb::SectionName(id)),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

@@ -3,7 +3,7 @@
 #include "src/core/pegasus.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -37,7 +37,7 @@ TEST(SummaryClusteringTest, IdentityMatchesExact) {
   Graph g = GenerateBarabasiAlbert(80, 3, 97);
   SummaryGraph s = SummaryGraph::Identity(g);
   auto exact = ExactClusteringCoefficients(g);
-  auto approx = SummaryClusteringCoefficients(s);
+  auto approx = SummaryClusteringCoefficients(SummaryView(s));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(approx[u], exact[u], 1e-12) << "node " << u;
   }
@@ -48,8 +48,8 @@ TEST(SummaryClusteringTest, UnweightedMatchesReconstruction) {
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
   Graph reconstructed = result.summary.Reconstruct();
   auto exact = ExactClusteringCoefficients(reconstructed);
-  auto approx =
-      SummaryClusteringCoefficients(result.summary, /*weighted=*/false);
+  auto approx = SummaryClusteringCoefficients(SummaryView(result.summary),
+                                              /*weighted=*/false);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(approx[u], exact[u], 1e-9) << "node " << u;
   }
@@ -58,7 +58,7 @@ TEST(SummaryClusteringTest, UnweightedMatchesReconstruction) {
 TEST(SummaryClusteringTest, CollapsedCliqueStaysClustered) {
   Graph g = TwoCliquesGraph(5);
   auto result = *SummarizeGraphToRatio(g, {}, 0.6);
-  auto approx = SummaryClusteringCoefficients(result.summary);
+  auto approx = SummaryClusteringCoefficients(SummaryView(result.summary));
   // Clique members keep a high clustering estimate.
   double total = 0.0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) total += approx[u];
@@ -68,8 +68,9 @@ TEST(SummaryClusteringTest, CollapsedCliqueStaysClustered) {
 TEST(SummaryClusteringTest, ValuesInUnitInterval) {
   Graph g = GenerateBarabasiAlbert(150, 3, 99);
   auto result = *SummarizeGraphToRatio(g, {1}, 0.4);
+  const SummaryView view(result.summary);
   for (bool weighted : {false, true}) {
-    for (double c : SummaryClusteringCoefficients(result.summary, weighted)) {
+    for (double c : SummaryClusteringCoefficients(view, weighted)) {
       EXPECT_GE(c, 0.0);
       EXPECT_LE(c, 1.0 + 1e-9);
     }

@@ -5,7 +5,7 @@
 #include "src/core/pegasus.h"
 #include "src/graph/generators.h"
 #include "src/query/graph_view.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -26,9 +26,10 @@ TEST(GraphViewTest, SummaryBfsMatchesSummaryQueries) {
   Graph g = GenerateBarabasiAlbert(120, 3, 102);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
   SummaryNeighborhoodView view(result.summary);
+  const SummaryView summary_view(result.summary);
   for (NodeId q : {0u, 33u, 119u}) {
     EXPECT_EQ(ViewBfsDistances(view, q),
-              FastSummaryHopDistances(result.summary, q))
+              FastSummaryHopDistances(summary_view, q))
         << "query " << q;
   }
 }
@@ -48,7 +49,7 @@ TEST(GraphViewTest, DfsOnSummaryVisitsReachableSet) {
   auto result = *SummarizeGraphToRatio(g, {}, 0.5);
   SummaryNeighborhoodView view(result.summary);
   auto order = ViewDfsPreorder(view, 5);
-  auto dist = FastSummaryHopDistances(result.summary, 5);
+  auto dist = FastSummaryHopDistances(SummaryView(result.summary), 5);
   size_t reachable = 0;
   for (uint32_t d : dist) reachable += (d != kUnreachable);
   EXPECT_EQ(order.size(), reachable);

@@ -15,7 +15,7 @@
 #include "src/graph/datasets.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "src/util/rng.h"
 
 namespace pegasus {
@@ -144,8 +144,9 @@ TEST(IntegrationTest, SummaryBfsEqualsReconstructedBfs) {
   Graph g = GenerateBarabasiAlbert(120, 2, 75);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
   Graph reconstructed = result.summary.Reconstruct();
+  const SummaryView view(result.summary);
   for (NodeId q : {0u, 17u, 63u}) {
-    auto via_summary = FastSummaryHopDistances(result.summary, q);
+    auto via_summary = FastSummaryHopDistances(view, q);
     auto via_graph = ExactHopDistances(reconstructed, q);
     EXPECT_EQ(via_summary, via_graph) << "query " << q;
   }

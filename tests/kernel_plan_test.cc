@@ -2,12 +2,15 @@
 // iterative kernels (src/core/kernel_plan.h). The load-bearing pins:
 //
 //   * plan invariants — the compacted CSR is exactly the layout CSR with
-//     self slots split out, rows stay ascending, and the verified gates
-//     (well_formed / symmetric / uniform_uw) hold on every summary the
-//     builder can produce;
+//     self slots split out, and rows stay ascending;
 //   * fused == reference, bit for bit — every iterative family, weighted
 //     and unweighted, on a self-loop-free summary AND on one with self
 //     superedges (the segmented-PHP and hoisted-self-rate paths);
+//   * built views are servable — the view of every summary the
+//     summarizers produce (PeGaSus serial and parallel, SSumM, k-GraSS,
+//     S2L, SAAGs, identity) passes the checks SummaryArena::Map runs on
+//     a file, and its fused scores equal the reference bytes. Those
+//     checks are what let the fused sweeps be the only kernels;
 //   * built-vs-arena plan equality — a PSB1 round trip derives the same
 //     plan at attach time that the built view derived at construction;
 //   * scratch reuse — a KernelScratch recycled across queries of
@@ -28,10 +31,16 @@
 #include <string>
 #include <vector>
 
+#include "src/baselines/grass.h"
+#include "src/baselines/s2l.h"
+#include "src/baselines/saags.h"
+#include "src/baselines/ssumm.h"
 #include "src/core/binary_summary_io.h"
 #include "src/core/kernel_plan.h"
+#include "src/core/pegasus.h"
 #include "src/core/summary_arena.h"
 #include "src/core/summary_graph.h"
+#include "src/graph/generators.h"
 #include "src/query/kernel_scratch.h"
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
@@ -152,16 +161,18 @@ void ExpectPlanMatchesLayout(const KernelPlan& plan,
   EXPECT_EQ(plan.dst.size() + self_slots, layout.num_edge_slots);
 }
 
+// The checks SummaryArena::Map runs on every file, in its order.
+void ExpectPassesArenaChecks(const SummaryLayout& layout, const char* what) {
+  const Status bounds = CheckLayoutBounds(layout, what);
+  EXPECT_TRUE(bounds) << bounds.ToString();
+  const Status symmetry = CheckEdgeSymmetryAndCount(layout, what);
+  EXPECT_TRUE(symmetry) << symmetry.ToString();
+}
+
 TEST(KernelPlanTest, GoldenFixturePlanIsFullyGated) {
   auto view = GoldenView();
   const KernelPlan& plan = view->kernel_plan();
-  EXPECT_TRUE(plan.well_formed);
-  EXPECT_TRUE(plan.symmetric);
-  EXPECT_TRUE(plan.uniform_uw);
-  EXPECT_TRUE(plan.GatherOk(true));
-  EXPECT_TRUE(plan.GatherOk(false));
-  EXPECT_TRUE(plan.SegmentedOk(true));
-  EXPECT_TRUE(plan.SegmentedOk(false));
+  ExpectPassesArenaChecks(view->layout(), "golden fixture");
   ExpectPlanMatchesLayout(plan, view->layout());
 
   // This fixture is the self-loop-free case; keep that explicit so a
@@ -175,9 +186,7 @@ TEST(KernelPlanTest, SelfLoopSummaryPlanSplitsSelfSlots) {
   const SummaryGraph summary = SelfLoopSummary();
   SummaryView view(summary);
   const KernelPlan& plan = view.kernel_plan();
-  EXPECT_TRUE(plan.well_formed);
-  EXPECT_TRUE(plan.symmetric);
-  EXPECT_TRUE(plan.uniform_uw);
+  ExpectPassesArenaChecks(view.layout(), "self-loop fixture");
   ExpectPlanMatchesLayout(plan, view.layout());
 
   ASSERT_EQ(plan.num_rows(), 2u);
@@ -218,11 +227,65 @@ TEST(KernelPlanTest, FusedKernelsMatchReferenceOnGoldenFixture) {
 TEST(KernelPlanTest, FusedKernelsMatchReferenceWithSelfSuperedges) {
   const SummaryGraph summary = SelfLoopSummary();
   SummaryView view(summary);
-  // Sanity: the fused paths must actually be live here, or this test
-  // would silently compare the reference against itself.
-  ASSERT_TRUE(view.kernel_plan().GatherOk(true));
-  ASSERT_TRUE(view.kernel_plan().SegmentedOk(true));
   ExpectFusedMatchesReference(view);
+}
+
+// --- Built views are servable ----------------------------------------------
+
+// Every summarizer's output, as a built view, satisfies the invariants
+// SummaryArena::Map enforces on files, and the fused sweeps over its
+// plan answer with the reference bytes. Two generated graphs, several
+// budgets, every algorithm the repo ships.
+TEST(KernelPlanTest, EverySummarizersBuiltViewPassesArenaChecks) {
+  struct Input {
+    const char* name;
+    Graph graph;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"ba160", GenerateBarabasiAlbert(160, 3, 811)});
+  inputs.push_back({"ws140", GenerateWattsStrogatz(140, 6, 0.1, 812)});
+
+  int views = 0;
+  const auto check = [&](const std::string& what, const SummaryGraph& s) {
+    SCOPED_TRACE(what);
+    const SummaryView view(s);
+    ExpectPassesArenaChecks(view.layout(), what.c_str());
+    ExpectPlanMatchesLayout(view.kernel_plan(), view.layout());
+    ExpectFusedMatchesReference(view);
+    ++views;
+  };
+
+  for (const Input& in : inputs) {
+    const Graph& g = in.graph;
+    const std::string name = in.name;
+    check(name + "/identity", SummaryGraph::Identity(g));
+    for (double ratio : {0.3, 0.5, 0.7}) {
+      const std::string at = name + "/r" + std::to_string(ratio);
+      for (int threads : {1, 0}) {
+        PegasusConfig config;
+        config.num_threads = threads;
+        auto pegasus = SummarizeGraphToRatio(g, {0, 5}, ratio, config);
+        ASSERT_TRUE(pegasus) << pegasus.status().ToString();
+        check(at + "/pegasus_t" + std::to_string(threads), pegasus->summary);
+      }
+      auto ssumm = SsummSummarizeToRatio(g, ratio);
+      ASSERT_TRUE(ssumm) << ssumm.status().ToString();
+      check(at + "/ssumm", ssumm->summary);
+
+      // The supernode-budget baselines get the same fraction of |V|.
+      const uint32_t k = static_cast<uint32_t>(ratio * g.num_nodes());
+      auto grass = GrassSummarize(g, k);
+      ASSERT_TRUE(grass) << grass.status().ToString();
+      check(at + "/grass", grass->summary);
+      auto s2l = S2lSummarize(g, k);
+      ASSERT_TRUE(s2l) << s2l.status().ToString();
+      check(at + "/s2l", s2l->summary);
+      auto saags = SaagsSummarize(g, k);
+      ASSERT_TRUE(saags) << saags.status().ToString();
+      check(at + "/saags", saags->summary);
+    }
+  }
+  EXPECT_EQ(views, 2 * (1 + 3 * 6));
 }
 
 // --- Built vs arena --------------------------------------------------------
@@ -242,9 +305,6 @@ TEST(KernelPlanTest, ArenaAttachDerivesTheBuiltPlan) {
 
   const KernelPlan& a = built->kernel_plan();
   const KernelPlan& b = mapped.kernel_plan();
-  EXPECT_EQ(a.well_formed, b.well_formed);
-  EXPECT_EQ(a.symmetric, b.symmetric);
-  EXPECT_EQ(a.uniform_uw, b.uniform_uw);
   EXPECT_EQ(a.row_begin, b.row_begin);
   EXPECT_EQ(a.dst, b.dst);
   EXPECT_EQ(a.self_split, b.self_split);
@@ -258,8 +318,7 @@ TEST(KernelPlanTest, ArenaAttachDerivesTheBuiltPlan) {
   EXPECT_EQ(HashScores(a.self_rate_w), HashScores(b.self_rate_w));
   EXPECT_EQ(HashScores(a.self_rate_uw), HashScores(b.self_rate_uw));
 
-  // And the kernels agree across backings (same bytes, fused path live
-  // on both).
+  // And the kernels agree across backings (same bytes).
   ExpectSameBits(SummaryRwrScores(mapped, 5), SummaryRwrScores(*built, 5),
                  "rwr built-vs-arena");
   ExpectSameBits(SummaryPageRank(mapped), SummaryPageRank(*built),
@@ -276,7 +335,6 @@ TEST(KernelPlanTest, ArenaAttachHandlesSelfSuperedges) {
   ASSERT_TRUE(arena) << arena.status().ToString();
   SummaryView mapped(*arena);
   EXPECT_EQ(mapped.kernel_plan().self_split, built.kernel_plan().self_split);
-  ASSERT_TRUE(mapped.kernel_plan().SegmentedOk(true));
   ExpectSameBits(SummaryPhpScores(mapped, 2), SummaryPhpScores(built, 2),
                  "php built-vs-arena with self slots");
 }

@@ -2,90 +2,97 @@
 // tools/lint_selftest.py, never compiled. See README.md.
 
 #include <cstddef>
-#include <utility>
+#include <memory>
 #include <vector>
 
 namespace fixture {
 
-struct Summary {
-  std::vector<std::pair<int, int>> CanonicalSuperedges() const;
-  std::vector<std::pair<int, int>> CanonicalSuperedges(int group) const;
+struct SummaryGraph {};
+
+class SummaryView {
+ public:
+  explicit SummaryView(const SummaryGraph& summary);
+  SummaryView(const SummaryView&) = delete;
+  size_t num_nodes() const;
 };
 
-// Hoisted before the loop: the sanctioned shape, clean.
-size_t Hoisted(const Summary& s, int rounds) {
-  const auto edges = s.CanonicalSuperedges();
+size_t Degree(const SummaryView& view, int node);
+
+// Built once before the loop: the sanctioned shape, clean.
+size_t Hoisted(const SummaryGraph& s, int rounds) {
+  const SummaryView view(s);
   size_t total = 0;
-  for (int r = 0; r < rounds; ++r) total += edges.size();
+  for (int r = 0; r < rounds; ++r) total += Degree(view, r);
   return total;
 }
 
-// Rebuilding the snapshot every iteration of a braced for: flagged.
-size_t PerIterationFor(const Summary& s, int rounds) {
+// A temporary view per iteration of a braced for: flagged.
+size_t PerIterationTemporary(const SummaryGraph& s, int rounds) {
   size_t total = 0;
   for (int r = 0; r < rounds; ++r) {
-    total += s.CanonicalSuperedges().size();  // expect-lint: hot-snapshot
+    total += Degree(SummaryView(s), r);  // expect-lint: hot-snapshot
   }
   return total;
 }
 
-// Single-statement loop bodies are bodies too: flagged.
-size_t PerIterationSingleStatement(const Summary& s, int rounds) {
+// A named declaration in a single-statement body: flagged, with
+// parentheses or braces.
+size_t PerIterationNamed(const SummaryGraph& s, int rounds) {
   size_t total = 0;
   for (int r = 0; r < rounds; ++r)
-    total += s.CanonicalSuperedges().size();  // expect-lint: hot-snapshot
-  return total;
-}
-
-// while and do-while bodies: flagged.
-size_t PerIterationWhile(const Summary& s, size_t stop) {
-  size_t total = 0;
-  while (total < stop) {
-    total += s.CanonicalSuperedges().size();  // expect-lint: hot-snapshot
+    total += SummaryView(s).num_nodes();  // expect-lint: hot-snapshot
+  while (total < 10) {
+    const SummaryView view(s);  // expect-lint: hot-snapshot
+    total += view.num_nodes();
   }
   do {
-    total += s.CanonicalSuperedges().size();  // expect-lint: hot-snapshot
-  } while (total < stop);
+    SummaryView view{s};  // expect-lint: hot-snapshot
+    total += view.num_nodes();
+  } while (total < 20);
   return total;
 }
 
-// A nested loop flags the call once (it sits in both bodies' spans).
-size_t Nested(const Summary& s, int rounds) {
+// Shared and owned views: flagged, const or not, nested loops once.
+size_t PerIterationShared(const SummaryGraph& s, int rounds) {
   size_t total = 0;
   for (int r = 0; r < rounds; ++r) {
     for (int k = 0; k < r; ++k) {
-      total += s.CanonicalSuperedges(k).size();  // expect-lint: hot-snapshot
+      auto shared = std::make_shared<const SummaryView>(s);  // expect-lint: hot-snapshot
+      auto owned = std::make_unique<SummaryView>(s);  // expect-lint: hot-snapshot
+      total += shared->num_nodes() + owned->num_nodes();
     }
   }
   return total;
 }
 
-// A range-for header evaluates its range expression once — clean.
-size_t HeaderOnce(const Summary& s) {
+// References and pointers to a view are not constructions: clean.
+size_t Borrowed(const std::vector<const SummaryView*>& views) {
   size_t total = 0;
-  for (const auto& edge : s.CanonicalSuperedges()) {
-    total += static_cast<size_t>(edge.first);
+  for (const SummaryView* view : views) {
+    const SummaryView& ref = *view;
+    total += ref.num_nodes();
   }
   return total;
 }
 
-// Reasoned suppression: clean.
-size_t SuppressedRebuild(const Summary& s, int rounds) {
-  size_t total = 0;
-  for (int r = 0; r < rounds; ++r) {
-    // lint: hot-snapshot-ok(fixture: demonstrates a reasoned suppression)
-    total += s.CanonicalSuperedges(r).size();
+// One view per distinct summary, with a reasoned suppression: clean.
+std::vector<std::shared_ptr<const SummaryView>> PerMachine(
+    const std::vector<SummaryGraph>& machines) {
+  std::vector<std::shared_ptr<const SummaryView>> views;
+  for (const SummaryGraph& s : machines) {
+    // lint: hot-snapshot-ok(fixture: one view per machine, built once)
+    views.push_back(std::make_shared<const SummaryView>(s));
   }
-  return total;
+  return views;
 }
 
 // Bare suppression: the marker itself is a violation, and it silences
 // nothing.
-size_t BareSuppression(const Summary& s, int rounds) {
+size_t BareSuppression(const SummaryGraph& s, int rounds) {
   size_t total = 0;
   for (int r = 0; r < rounds; ++r) {
     // lint: hot-snapshot-ok()  -- expect-lint: hot-snapshot
-    total += s.CanonicalSuperedges().size();  // expect-lint: hot-snapshot
+    total += Degree(SummaryView(s), r);  // expect-lint: hot-snapshot
   }
   return total;
 }

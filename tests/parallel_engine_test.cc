@@ -190,20 +190,6 @@ TEST(ParallelEngineTest, PersonalizationReducesTargetError) {
             PersonalizedError(g, np.summary, eval_weights));
 }
 
-TEST(ParallelEngineTest, WorksFromExistingSummary) {
-  // SummarizeGraphFrom must accept the parallel engine too (used by the
-  // hierarchy to continue coarsening).
-  Graph g = TestGraph(21);
-  PegasusConfig coarse;
-  coarse.seed = 4;
-  coarse.num_threads = 2;
-  auto first = *SummarizeGraphToRatio(g, {}, 0.7, coarse);
-  const auto cont = *SummarizeGraphFrom(g, {}, 0.4 * g.SizeInBits(),
-                                       std::move(first.summary), coarse);
-  EXPECT_LE(cont.final_size_bits, 0.4 * g.SizeInBits() + 1e-9);
-  EXPECT_LE(cont.summary.num_supernodes(), g.num_nodes());
-}
-
 // Bitwise equality of two plans, failure scores compared by bit pattern.
 void ExpectSamePlan(const GroupPlan& got, const GroupPlan& want) {
   EXPECT_EQ(got.merges, want.merges);

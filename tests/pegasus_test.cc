@@ -185,13 +185,6 @@ TEST(PegasusTest, InvalidInputsRejectedTyped) {
   EXPECT_NE(bad_target.status().message().find("target 0"),
             std::string::npos)
       << bad_target.status().message();
-  // Initial-summary node-count mismatch.
-  Graph small = ::pegasus::testing::PathGraph(5);
-  EXPECT_EQ(SummarizeGraphFrom(g, {}, 100.0,
-                               SummaryGraph::Identity(small))
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   // Boundary values that must stay accepted.
   PegasusConfig boundary;
   boundary.beta = 0.0;

@@ -313,6 +313,7 @@ TEST(QueryServiceTest, PublishesDynamicSummaryRebuilds) {
 
   QueryService service;
   EXPECT_EQ(service.Publish(dynamic), 1u);
+  EXPECT_EQ(service.view(), dynamic.view());  // shared, not rebuilt
   const SummaryView view1(dynamic.summary());
   const auto requests = ServiceBatch(g.num_nodes());
   const auto before = service.Answer(requests);
@@ -326,6 +327,7 @@ TEST(QueryServiceTest, PublishesDynamicSummaryRebuilds) {
   }
   dynamic.Rebuild();
   EXPECT_EQ(service.Publish(dynamic), 2u);
+  EXPECT_EQ(service.view(), dynamic.view());
   const SummaryView view2(dynamic.summary());
   const auto after = service.Answer(requests);
   ASSERT_TRUE(after.ok());

@@ -1,8 +1,9 @@
 // SummaryArena tests: the mmap serving path answers every query family
 // byte-identically to a freshly built view (the cross-stdlib goldens pin
 // both), the heap-decode fallback for compact files gives the same
-// answers, the arrays are bit-for-bit the built view's arrays, and the
-// structural / checksum gates reject damaged files.
+// answers, the arrays are bit-for-bit the built view's arrays, Map's
+// structural and edge-invariant checks reject damaged files on either
+// backing, and Map skips checksums.
 
 #include <gtest/gtest.h>
 
@@ -129,10 +130,13 @@ TEST(SummaryArenaTest, ViewKeepsArenaAlive) {
   std::remove(path.c_str());
 }
 
-TEST(SummaryArenaTest, ChecksumOptionCatchesFlipsTheDefaultSkips) {
-  // Flip one byte inside edge_density_w: structurally invisible (the
-  // bounds pass only reads the integer arrays), so the instant-restart
-  // default accepts it, while verify_checksums names the section.
+TEST(SummaryArenaTest, MapSkipsChecksums) {
+  // Flip one byte inside member_deg_w: a derived statistics section no
+  // structural check reads, so only its checksum could catch the flip.
+  // Map does not verify checksums (instant restart) and accepts the
+  // file; LoadSummaryBinary and `pegasus view --validate` are the
+  // checksum path (binary_summary_io_test pins that they name the
+  // section).
   const std::string path = TempPath("flip.psb");
   WriteGoldenPsb(path, /*compact=*/false);
   auto bytes = ReadFileBytes(path);
@@ -140,22 +144,13 @@ TEST(SummaryArenaTest, ChecksumOptionCatchesFlipsTheDefaultSkips) {
   auto header = psb::ParsePsbHeader(bytes->data(), bytes->size(),
                                     bytes->size(), path);
   ASSERT_TRUE(header.has_value());
-  const auto& density = header->sections[6];  // id 7, edge_density_w
-  ASSERT_EQ(density.id, 7u);
-  (*bytes)[density.offset + 1] ^= 0x01;
+  const auto& degrees = header->sections[9];  // id 10, member_deg_w
+  ASSERT_EQ(degrees.id, 10u);
+  (*bytes)[degrees.offset + 1] ^= 0x01;
   WriteBytes(path, *bytes);
 
-  auto lax = SummaryArena::Map(path);
-  EXPECT_TRUE(lax.has_value()) << lax.status().ToString();
-
-  SummaryArenaOptions opts;
-  opts.verify_checksums = true;
-  auto strict = SummaryArena::Map(path, opts);
-  ASSERT_FALSE(strict.has_value());
-  EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(strict.status().ToString().find("edge_density_w"),
-            std::string::npos)
-      << strict.status().ToString();
+  auto arena = SummaryArena::Map(path);
+  EXPECT_TRUE(arena.has_value()) << arena.status().ToString();
   std::remove(path.c_str());
 }
 
@@ -178,12 +173,81 @@ TEST(SummaryArenaTest, StructuralValidationRejectsBadArrays) {
   auto arena = SummaryArena::Map(path);
   ASSERT_FALSE(arena.has_value());
   EXPECT_EQ(arena.status().code(), StatusCode::kDataLoss);
-
-  // ...unless the caller explicitly disabled the structural pass too.
-  SummaryArenaOptions off;
-  off.validate_structure = false;
-  EXPECT_TRUE(SummaryArena::Map(path, off).has_value());
   std::remove(path.c_str());
+}
+
+// Writes the golden summary (raw or compact), overwrites element `slot`
+// of f64 section `section_id` with `value`, and maps the result. Float
+// sections are raw in both encodings, so the element sits at a fixed
+// offset either way and both of Map's backings are exercised.
+StatusOr<std::shared_ptr<const SummaryArena>> MapWithF64(
+    const std::string& path, bool compact, uint32_t section_id, uint64_t slot,
+    double value) {
+  WriteGoldenPsb(path, compact);
+  auto bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.has_value());
+  auto header = psb::ParsePsbHeader(bytes->data(), bytes->size(),
+                                    bytes->size(), path);
+  EXPECT_TRUE(header.has_value());
+  const auto& section = header->sections[section_id - 1];
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  for (int b = 0; b < 8; ++b) {
+    (*bytes)[section.offset + slot * 8 + b] =
+        static_cast<uint8_t>(bits >> (8 * b));
+  }
+  WriteBytes(path, *bytes);
+  return SummaryArena::Map(path);
+}
+
+void ExpectRejectedNaming(
+    const StatusOr<std::shared_ptr<const SummaryArena>>& arena,
+    const std::string& section) {
+  ASSERT_FALSE(arena.has_value()) << "accepted; expected " << section;
+  EXPECT_EQ(arena.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(arena.status().ToString().find(section), std::string::npos)
+      << arena.status().ToString();
+}
+
+TEST(SummaryArenaTest, MapRejectsAsymmetricEdgeDensity) {
+  // One cross slot's weighted density no longer equals its reverse
+  // slot's. The fused RWR/PageRank sweeps gather where the reference
+  // scatters, so they would answer differently: Map must refuse it.
+  const Graph g = ::pegasus::testing::QueryGoldenGraph();
+  const SummaryView built(::pegasus::testing::QueryGoldenSummary(g));
+  const SummaryLayout& l = built.layout();
+  uint64_t slot = l.num_edge_slots;  // the first cross slot
+  for (uint32_t a = 0; a < l.num_supernodes && slot == l.num_edge_slots;
+       ++a) {
+    for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
+      if (l.edge_dst[i] != a) {
+        slot = i;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(slot, l.num_edge_slots) << "fixture has no cross superedge";
+  const double perturbed = l.edge_density_w[slot] * 0.5;
+  for (bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact" : "raw");
+    const std::string path = TempPath("asym_density.psb");
+    ExpectRejectedNaming(MapWithF64(path, compact, 7, slot, perturbed),
+                         "edge_density_w");
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SummaryArenaTest, MapRejectsNonUnitUnweightedDensity) {
+  // The unweighted kernels drop the `* 1.0`; a density of 0.5 would make
+  // them disagree with the reference sweep.
+  for (bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact" : "raw");
+    const std::string path = TempPath("uw_density.psb");
+    ExpectRejectedNaming(MapWithF64(path, compact, 8, 0, 0.5),
+                         "edge_density_uw");
+    ExpectRejectedNaming(MapWithF64(path, compact, 13, 0, 0.5),
+                         "self_density_uw");
+    std::remove(path.c_str());
+  }
 }
 
 TEST(SummaryArenaTest, MapRejectsMissingAndTruncatedFiles) {

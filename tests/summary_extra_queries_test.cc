@@ -11,7 +11,7 @@
 #include "src/core/personal_weights.h"
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -19,8 +19,8 @@ namespace {
 
 TEST(SummaryDegreesTest, IdentityMatchesGraphDegrees) {
   Graph g = GenerateBarabasiAlbert(100, 3, 91);
-  SummaryGraph s = SummaryGraph::Identity(g);
-  auto deg = SummaryDegrees(s);
+  const SummaryView view(SummaryGraph::Identity(g));
+  auto deg = SummaryDegrees(view);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_DOUBLE_EQ(deg[u], static_cast<double>(g.degree(u)));
   }
@@ -30,7 +30,7 @@ TEST(SummaryDegreesTest, MatchesReconstructionDegrees) {
   Graph g = GenerateBarabasiAlbert(80, 2, 92);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.5);
   Graph reconstructed = result.summary.Reconstruct();
-  auto deg = SummaryDegrees(result.summary, /*weighted=*/false);
+  auto deg = SummaryDegrees(SummaryView(result.summary), /*weighted=*/false);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_DOUBLE_EQ(deg[u], static_cast<double>(reconstructed.degree(u)))
         << "node " << u;
@@ -40,8 +40,9 @@ TEST(SummaryDegreesTest, MatchesReconstructionDegrees) {
 TEST(SummaryDegreesTest, WeightedNeverExceedsUnweighted) {
   Graph g = GenerateBarabasiAlbert(120, 3, 93);
   auto result = *SummarizeGraphToRatio(g, {}, 0.4);
-  auto weighted = SummaryDegrees(result.summary, true);
-  auto unweighted = SummaryDegrees(result.summary, false);
+  const SummaryView view(result.summary);
+  auto weighted = SummaryDegrees(view, true);
+  auto unweighted = SummaryDegrees(view, false);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_LE(weighted[u], unweighted[u] + 1e-9);
   }
@@ -49,9 +50,9 @@ TEST(SummaryDegreesTest, WeightedNeverExceedsUnweighted) {
 
 TEST(SummaryPageRankTest, IdentityMatchesExact) {
   Graph g = GenerateBarabasiAlbert(90, 2, 94);
-  SummaryGraph s = SummaryGraph::Identity(g);
+  const SummaryView view(SummaryGraph::Identity(g));
   auto exact = PageRank(g);
-  auto approx = SummaryPageRank(s);
+  auto approx = SummaryPageRank(view);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(approx[u], exact[u], 1e-6) << "node " << u;
   }
@@ -60,7 +61,7 @@ TEST(SummaryPageRankTest, IdentityMatchesExact) {
 TEST(SummaryPageRankTest, SumsToOne) {
   Graph g = GenerateBarabasiAlbert(200, 3, 95);
   auto result = *SummarizeGraphToRatio(g, {5}, 0.5);
-  auto pr = SummaryPageRank(result.summary);
+  auto pr = SummaryPageRank(SummaryView(result.summary));
   EXPECT_NEAR(std::accumulate(pr.begin(), pr.end(), 0.0), 1.0, 1e-6);
 }
 
@@ -68,7 +69,7 @@ TEST(SummaryPageRankTest, CoMembersShareScores) {
   Graph g = GenerateBarabasiAlbert(150, 2, 96);
   auto result = *SummarizeGraphToRatio(g, {}, 0.3);
   const SummaryGraph& s = result.summary;
-  auto pr = SummaryPageRank(s);
+  auto pr = SummaryPageRank(SummaryView(s));
   for (SupernodeId a : s.ActiveSupernodes()) {
     const auto& m = s.members(a);
     for (size_t i = 1; i < m.size(); ++i) {
@@ -88,7 +89,7 @@ TEST(SummaryPageRankTest, RanksHubsAboveLeavesAfterSummarization) {
   for (NodeId u = 2; u <= 30; ++u) {
     leaves = engine.ApplyMerge(leaves, u);
   }
-  auto pr = SummaryPageRank(s);
+  auto pr = SummaryPageRank(SummaryView(s));
   EXPECT_GT(pr[0], pr[1] * 5);
 }
 

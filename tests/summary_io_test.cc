@@ -6,7 +6,7 @@
 #include "src/core/pegasus.h"
 #include "src/core/summary_io.h"
 #include "src/graph/generators.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -46,11 +46,13 @@ TEST(SummaryIoTest, RoundTripPreservesQueries) {
     }
   }
   // Queries answer identically.
+  const SummaryView original_view(result.summary);
+  const SummaryView loaded_view(*loaded);
   for (NodeId q : {0u, 17u, 149u}) {
-    EXPECT_EQ(FastSummaryHopDistances(result.summary, q),
-              FastSummaryHopDistances(*loaded, q));
-    auto r1 = SummaryRwrScores(result.summary, q);
-    auto r2 = SummaryRwrScores(*loaded, q);
+    EXPECT_EQ(FastSummaryHopDistances(original_view, q),
+              FastSummaryHopDistances(loaded_view, q));
+    auto r1 = SummaryRwrScores(original_view, q);
+    auto r2 = SummaryRwrScores(loaded_view, q);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       ASSERT_NEAR(r1[u], r2[u], 1e-12);
     }

@@ -8,7 +8,7 @@
 #include "src/core/personal_weights.h"
 #include "src/graph/bfs.h"
 #include "src/graph/generators.h"
-#include "src/query/summary_queries.h"
+#include "src/query/summary_view.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -31,9 +31,9 @@ SummaryGraph MergedFig3(const Graph& g) {
 
 TEST(SummaryNeighborsTest, IdentitySummaryMatchesGraph) {
   Graph g = Fig3Graph();
-  SummaryGraph s = SummaryGraph::Identity(g);
+  const SummaryView view(SummaryGraph::Identity(g));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    auto nb = SummaryNeighbors(s, u);
+    auto nb = SummaryNeighbors(view, u);
     std::vector<NodeId> expected(g.neighbors(u).begin(),
                                  g.neighbors(u).end());
     EXPECT_EQ(nb, expected) << "node " << u;
@@ -42,9 +42,9 @@ TEST(SummaryNeighborsTest, IdentitySummaryMatchesGraph) {
 
 TEST(SummaryNeighborsTest, MergedTwinsStillExact) {
   Graph g = Fig3Graph();
-  SummaryGraph s = MergedFig3(g);
+  const SummaryView view(MergedFig3(g));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    auto nb = SummaryNeighbors(s, u);
+    auto nb = SummaryNeighbors(view, u);
     std::vector<NodeId> expected(g.neighbors(u).begin(),
                                  g.neighbors(u).end());
     EXPECT_EQ(nb, expected) << "node " << u;
@@ -59,33 +59,33 @@ TEST(SummaryNeighborsTest, SelfLoopIncludesCoMembers) {
   MergeEngine engine(g, s, cm, MergeScore::kRelative);
   SupernodeId m = engine.ApplyMerge(0, 1);
   ASSERT_TRUE(s.HasSuperedge(m, m));
-  auto nb = SummaryNeighbors(s, 0);
+  auto nb = SummaryNeighbors(SummaryView(s), 0);
   EXPECT_TRUE(std::find(nb.begin(), nb.end(), 1u) != nb.end());
   EXPECT_TRUE(std::find(nb.begin(), nb.end(), 0u) == nb.end());
 }
 
 TEST(SummaryHopTest, FastMatchesFaithfulOnIdentity) {
   Graph g = GenerateBarabasiAlbert(60, 2, 19);
-  SummaryGraph s = SummaryGraph::Identity(g);
+  const SummaryView view(SummaryGraph::Identity(g));
   for (NodeId q : {0u, 10u, 59u}) {
-    EXPECT_EQ(SummaryHopDistances(s, q), FastSummaryHopDistances(s, q));
+    EXPECT_EQ(SummaryHopDistances(view, q), FastSummaryHopDistances(view, q));
   }
 }
 
 TEST(SummaryHopTest, FastMatchesFaithfulOnSummarized) {
   Graph g = GenerateBarabasiAlbert(120, 3, 20);
   auto result = *SummarizeGraphToRatio(g, {0}, 0.4);
+  const SummaryView view(result.summary);
   for (NodeId q : {0u, 7u, 42u, 111u}) {
-    EXPECT_EQ(SummaryHopDistances(result.summary, q),
-              FastSummaryHopDistances(result.summary, q))
+    EXPECT_EQ(SummaryHopDistances(view, q), FastSummaryHopDistances(view, q))
         << "query " << q;
   }
 }
 
 TEST(SummaryHopTest, IdentityMatchesExactBfs) {
   Graph g = TwoCliquesGraph(4);
-  SummaryGraph s = SummaryGraph::Identity(g);
-  EXPECT_EQ(FastSummaryHopDistances(s, 0), BfsDistances(g, 0));
+  const SummaryView view(SummaryGraph::Identity(g));
+  EXPECT_EQ(FastSummaryHopDistances(view, 0), BfsDistances(g, 0));
 }
 
 TEST(SummaryHopTest, SelfLoopCoMembersAtDistanceOne) {
@@ -95,7 +95,7 @@ TEST(SummaryHopTest, SelfLoopCoMembersAtDistanceOne) {
   CostModel cm(g, w, s);
   MergeEngine engine(g, s, cm, MergeScore::kRelative);
   engine.ApplyMerge(0, 1);
-  auto d = FastSummaryHopDistances(s, 0);
+  auto d = FastSummaryHopDistances(SummaryView(s), 0);
   EXPECT_EQ(d[0], 0u);
   EXPECT_EQ(d[1], 1u);
 }
@@ -111,16 +111,16 @@ TEST(SummaryHopTest, NoSuperedgesMeansUnreachable) {
     }
     for (SupernodeId c : nb) s.EraseSuperedge(a, c);
   }
-  auto d = FastSummaryHopDistances(s, 1);
+  auto d = FastSummaryHopDistances(SummaryView(s), 1);
   EXPECT_EQ(d[1], 0u);
   EXPECT_EQ(d[0], kUnreachable);
 }
 
 TEST(SummaryRwrTest, IdentityMatchesExact) {
   Graph g = GenerateBarabasiAlbert(80, 2, 21);
-  SummaryGraph s = SummaryGraph::Identity(g);
+  const SummaryView view(SummaryGraph::Identity(g));
   auto exact = ExactRwrScores(g, 5);
-  auto approx = SummaryRwrScores(s, 5);
+  auto approx = SummaryRwrScores(view, 5);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(approx[u], exact[u], 1e-6) << "node " << u;
   }
@@ -129,7 +129,7 @@ TEST(SummaryRwrTest, IdentityMatchesExact) {
 TEST(SummaryRwrTest, SumsToAtMostOne) {
   Graph g = GenerateBarabasiAlbert(150, 3, 22);
   auto result = *SummarizeGraphToRatio(g, {3}, 0.4);
-  auto r = SummaryRwrScores(result.summary, 3);
+  auto r = SummaryRwrScores(SummaryView(result.summary), 3);
   const double total = std::accumulate(r.begin(), r.end(), 0.0);
   EXPECT_LE(total, 1.0 + 1e-6);
   EXPECT_GT(total, 0.5);
@@ -140,7 +140,7 @@ TEST(SummaryRwrTest, QueryNodeScoreWellAboveAverage) {
   // maximum — a hub adjacent to a low-degree q can score higher).
   Graph g = GenerateBarabasiAlbert(100, 2, 23);
   auto result = *SummarizeGraphToRatio(g, {7}, 0.5);
-  auto r = SummaryRwrScores(result.summary, 7);
+  auto r = SummaryRwrScores(SummaryView(result.summary), 7);
   const double mean =
       std::accumulate(r.begin(), r.end(), 0.0) / static_cast<double>(r.size());
   EXPECT_GT(r[7], 3.0 * mean);
@@ -150,7 +150,7 @@ TEST(SummaryRwrTest, CoMembersShareScores) {
   Graph g = GenerateBarabasiAlbert(100, 2, 24);
   auto result = *SummarizeGraphToRatio(g, {}, 0.3);
   const SummaryGraph& s = result.summary;
-  auto r = SummaryRwrScores(s, 7);
+  auto r = SummaryRwrScores(SummaryView(s), 7);
   for (SupernodeId a : s.ActiveSupernodes()) {
     const auto& m = s.members(a);
     for (size_t i = 1; i < m.size(); ++i) {
@@ -162,9 +162,9 @@ TEST(SummaryRwrTest, CoMembersShareScores) {
 
 TEST(SummaryPhpTest, IdentityMatchesExact) {
   Graph g = GenerateBarabasiAlbert(70, 2, 25);
-  SummaryGraph s = SummaryGraph::Identity(g);
+  const SummaryView view(SummaryGraph::Identity(g));
   auto exact = ExactPhpScores(g, 4);
-  auto approx = SummaryPhpScores(s, 4);
+  auto approx = SummaryPhpScores(view, 4);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(approx[u], exact[u], 1e-6) << "node " << u;
   }
@@ -173,7 +173,7 @@ TEST(SummaryPhpTest, IdentityMatchesExact) {
 TEST(SummaryPhpTest, QueryIsOneOthersBelow) {
   Graph g = GenerateBarabasiAlbert(120, 3, 26);
   auto result = *SummarizeGraphToRatio(g, {9}, 0.4);
-  auto p = SummaryPhpScores(result.summary, 9);
+  auto p = SummaryPhpScores(SummaryView(result.summary), 9);
   EXPECT_DOUBLE_EQ(p[9], 1.0);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_LE(p[u], 1.0 + 1e-9);
@@ -185,9 +185,9 @@ TEST(SummaryQueriesTest, WeightedAndUnweightedAgreeOnIdentity) {
   // All superedge weights are 1 and all blocks are single pairs, so the
   // density is 1 everywhere and the modes coincide.
   Graph g = GenerateBarabasiAlbert(60, 2, 27);
-  SummaryGraph s = SummaryGraph::Identity(g);
-  auto weighted = SummaryRwrScores(s, 3, 0.05, true);
-  auto unweighted = SummaryRwrScores(s, 3, 0.05, false);
+  const SummaryView view(SummaryGraph::Identity(g));
+  auto weighted = SummaryRwrScores(view, 3, 0.05, true);
+  auto unweighted = SummaryRwrScores(view, 3, 0.05, false);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(weighted[u], unweighted[u], 1e-9);
   }

@@ -6,10 +6,8 @@
 // query family's output is a function of the summary alone: independent
 // of superedge insertion order and of the stdlib's hash-map layout
 // (tests/query_service_test.cc adds the thread count used to answer a
-// batch). The SummaryGraph wrappers in summary_queries.h must return
-// byte-identical vectors to the view overloads, and on an identity
-// summary (Ĝ = G) the integer families must agree with the exact
-// processors on the input graph. Cross-stdlib golden hashes live in
+// batch). On an identity summary (Ĝ = G) the integer families must
+// agree with the exact processors on the input graph. Cross-stdlib golden hashes live in
 // tests/determinism_test.cc.
 
 #include <gtest/gtest.h>
@@ -21,7 +19,6 @@
 #include "src/graph/generators.h"
 #include "src/query/exact_queries.h"
 #include "src/query/query_engine.h"
-#include "src/query/summary_queries.h"
 #include "src/query/summary_view.h"
 
 namespace pegasus {
@@ -232,42 +229,6 @@ TEST(SummaryViewTest, IdentitySummaryMatchesExactQueries) {
   ASSERT_EQ(cc.size(), exact_cc.size());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_NEAR(cc[u], exact_cc[u], 1e-12) << "u=" << u;
-  }
-}
-
-TEST(SummaryViewTest, WrappersByteIdenticalToViewPaths) {
-  for (const Case& c : EquivalenceCases()) {
-    SummaryView view(c.summary);
-    const NodeId n = c.summary.num_nodes();
-    for (NodeId q : {NodeId{0}, NodeId{13}, static_cast<NodeId>(n - 1)}) {
-      EXPECT_EQ(SummaryNeighbors(c.summary, q), SummaryNeighbors(view, q))
-          << c.name << " q=" << q;
-      EXPECT_EQ(SummaryHopDistances(c.summary, q),
-                SummaryHopDistances(view, q))
-          << c.name << " q=" << q;
-      EXPECT_EQ(FastSummaryHopDistances(c.summary, q),
-                FastSummaryHopDistances(view, q))
-          << c.name << " q=" << q;
-      for (bool weighted : {true, false}) {
-        EXPECT_EQ(SummaryRwrScores(c.summary, q, 0.05, weighted),
-                  SummaryRwrScores(view, q, 0.05, weighted))
-            << c.name << " q=" << q << " weighted=" << weighted;
-        EXPECT_EQ(SummaryPhpScores(c.summary, q, 0.95, weighted),
-                  SummaryPhpScores(view, q, 0.95, weighted))
-            << c.name << " q=" << q << " weighted=" << weighted;
-      }
-    }
-    for (bool weighted : {true, false}) {
-      EXPECT_EQ(SummaryDegrees(c.summary, weighted),
-                SummaryDegrees(view, weighted))
-          << c.name << " weighted=" << weighted;
-      EXPECT_EQ(SummaryPageRank(c.summary, 0.85, weighted),
-                SummaryPageRank(view, 0.85, weighted))
-          << c.name << " weighted=" << weighted;
-      EXPECT_EQ(SummaryClusteringCoefficients(c.summary, weighted),
-                SummaryClusteringCoefficients(view, weighted))
-          << c.name << " weighted=" << weighted;
-    }
   }
 }
 

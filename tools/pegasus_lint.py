@@ -33,14 +33,14 @@ Rules
                   reduction` / fast-math pragmas in src/. Reassociated
                   summation changes golden bytes per-architecture.
                   Suppress with // lint: reassoc-ok(<reason>).
-  hot-snapshot    No snapshot-building calls (the HOT_SNAPSHOT_CALLS
-                  registry) in a loop body: each call materializes and
-                  sorts the full
-                  superedge list, so calling it per iteration turns an
-                  O(E log E) prologue into an O(iters * E log E) hot
-                  loop. Hoist the snapshot before the loop, or suppress
-                  with // lint: hot-snapshot-ok(<why the loop is cold or
-                  the receiver changes per iteration>).
+  hot-snapshot    No snapshot-building expressions (the
+                  HOT_SNAPSHOT_CALLS registry: SummaryView construction)
+                  in a loop body: each one copies the whole summary into
+                  a fresh view, so building it per iteration turns an
+                  O(|V| + |P|) prologue into an O(iters * (|V| + |P|))
+                  hot loop. Build the view once before the loop, or
+                  suppress with // lint: hot-snapshot-ok(<why the loop is
+                  cold or the receiver changes per iteration>).
   versioning      The PSB1 section-id table (src/core/psb_format.h) and
                   the wire frame-kind table (src/serve/wire.h) are
                   fingerprinted into tools/format_versions.lock. Editing
@@ -96,9 +96,17 @@ SUPPRESS_MARKERS = {
     "sort-order": "sort-order-ok",
 }
 
-# hot-snapshot registry: calls that materialize + sort a full snapshot on
-# every invocation. Extend here (with a comment) when a new one appears.
-HOT_SNAPSHOT_CALLS = ("CanonicalSuperedges",)
+# hot-snapshot registry: expressions that copy a whole summary into a
+# fresh snapshot on every evaluation, as regexes over comment- and
+# string-stripped code. Extend here (with a comment) when a new one
+# appears.
+HOT_SNAPSHOT_CALLS = (
+    # A SummaryView temporary or `new SummaryView(...)`, and a named
+    # declaration (`SummaryView view(summary);`, `... view{summary};`).
+    r"\bSummaryView(?:\s+[A-Za-z_]\w*)?\s*[({]",
+    # A shared or owned view: make_shared/make_unique<[const ]SummaryView>.
+    r"\bmake_(?:shared|unique)\s*<\s*(?:const\s+)?SummaryView\s*>\s*\(",
+)
 
 # sort-order registry: the comparators that are total orders by
 # construction (src/util/ranking.h), and how many leading iterator
@@ -790,8 +798,7 @@ def _loop_body_spans(code):
 def check_hot_snapshot(src, suppressions, violations):
     marker = SUPPRESS_MARKERS["hot-snapshot"]
     code = src.code
-    call_re = re.compile(
-        r"\b(%s)\s*\(" % "|".join(re.escape(n) for n in HOT_SNAPSHOT_CALLS))
+    call_re = re.compile("|".join("(?:%s)" % p for p in HOT_SNAPSHOT_CALLS))
     calls = list(call_re.finditer(code))
     if not calls:
         return
@@ -804,11 +811,11 @@ def check_hot_snapshot(src, suppressions, violations):
             continue
         violations.append(Violation(
             src.relpath, line, "hot-snapshot",
-            "'%s()' inside a loop body materializes and sorts the full "
-            "superedge snapshot every iteration — hoist the snapshot out "
-            "of the loop, or suppress with // lint: hot-snapshot-ok(<why "
-            "the loop is cold or the receiver changes per iteration>)"
-            % m.group(1)))
+            "'%s' inside a loop body builds a full SummaryView snapshot "
+            "every iteration — build the view once before the loop, or "
+            "suppress with // lint: hot-snapshot-ok(<why the loop is cold "
+            "or the receiver changes per iteration>)"
+            % " ".join(m.group(0).split())))
 
 
 # --------------------------------------------------------------------------
