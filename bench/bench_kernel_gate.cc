@@ -1,6 +1,6 @@
 // KernelPlan speed gate.
 //
-// The fused KernelPlan sweeps (gather RWR / PageRank, segmented PHP)
+// The fused KernelPlan sweeps (sliced gather, then in-order epilogue)
 // must beat the pre-plan reference sweeps, with byte-identical scores,
 // by >= 1.3x as a geometric mean over the six family x density-mode rows
 // (rwr/php/pagerank, weighted and unweighted). Any shortfall or
@@ -73,7 +73,7 @@ bool RunKernelGate(const SummaryView& view, const std::vector<NodeId>& sample,
     all_identical = all_identical && identical;
   };
 
-  // Both density modes: weighted exercises the compacted-CSR gather,
+  // Both density modes: weighted exercises the stored-density slices,
   // unweighted additionally the uniform-density shortcut (the fused
   // sweeps never touch the density array at all).
   for (bool weighted : {true, false}) {

@@ -1,28 +1,70 @@
 // KernelPlan — precomputed transition arrays for the iterative kernels.
 //
-// The RWR / PHP / PageRank sweeps (src/query/summary_view.cc) walk the
-// superedge CSR once per iteration. Served straight off a SummaryLayout
-// they pay, on every sweep of every query: a self-loop branch per edge
-// slot, a `self_density / member_degree` division per supernode, and —
-// in the reference formulation — a separate scatter pass plus a
-// per-supernode rate pass. A KernelPlan bakes everything that is a pure
-// function of the summary into flat arrays once, at view build or
-// mmap-attach time (src/core/summary_arena.h), so the steady-state
-// sweep is a single branch-free pass over contiguous memory:
+// The RWR / PHP / PageRank sweeps (src/query/summary_view.cc) read every
+// superedge slot once per iteration. A KernelPlan bakes everything that
+// is a pure function of the summary into flat arrays once, at view build
+// or mmap-attach time (src/core/summary_arena.h), so each sweep is two
+// branch-light passes over contiguous memory:
 //
-//   * `row_begin` / `dst` / `den_w`: the superedge CSR with self-loop
-//     slots compacted out. The iterative kernels never take the
-//     `dst[i] == a` branch again; self-loop mass is applied through the
-//     per-supernode terms below.
-//   * `self_split[b]`: where inside the compacted row b the self slot
-//     sat (kNoSelf if the row has none), with its density in
-//     `self_den_w[b]`. PHP sums a row in ascending-slot order with the
-//     self term in the middle; the split lets it keep that exact
-//     summation order over the compacted row (two contiguous segments
-//     around one scalar term).
-//   * `self_rate_w` / `self_rate_uw`: the loop-invariant
-//     `self_density(b) / member_degree(b)` division hoisted out of the
-//     sweep (0 when the reference guard `sd > 0 && md > 0` fails).
+//   1. a gather pass over a sliced-ELL layout (SELL-C-σ, Kreutzer et
+//      al., SIAM J. Sci. Comput. 36(5), 2014) that writes each row's
+//      incoming sum into a scratch `cross[row]`;
+//   2. the in-order epilogue: rows ascend, each reads `cross[b]`, applies
+//      its self term and updates its score.
+//
+// Slice layout. Rows are taken in windows of kWindow (σ = 256) ascending
+// ids; inside a window they are sorted by slot count descending, then by
+// row id, and cut into slices of kLanes (C = 4) rows, one row per lane.
+// Each slice is padded to its longest row. For slice k of width W:
+//
+//   * `row_begin[k]` .. `row_begin[k + 1]` is its range in `dst`,
+//     holding W * kLanes entries (these are slice offsets, not row
+//     offsets; the name is kept for KernelBytesPerSweep-style readers);
+//   * `dst[row_begin[k] + j * kLanes + l]` is slot j of lane l: the
+//     lanes of one slot column are adjacent, so the four rows' add chains
+//     are interleaved, while each row still adds its own slots one after
+//     another in ascending-slot order (the layout's canonical order);
+//   * `lane_row[k * kLanes + l]` is the row lane l sums, or num_rows()
+//     for an empty lane of a window's last, partial slice (it writes a
+//     spare `cross` element no row reads);
+//   * `den_begin[k]` is where the slice's weighted densities start in
+//     `den_w` (same shape as its `dst` range), or kUnitSlice when every
+//     real slot of the slice has weighted density exactly 1.0.
+//
+// Slot targets. A slot reads element `dst[i]` of the sweep vector x
+// (rate or total), which is gather_extent() long:
+//
+//   * x[0 .. num_rows()) — the rows' own values;
+//   * x[pad_index()] — the pad column, always +0.0. Pad slots come after
+//     a lane's real slots and read it;
+//   * x[pad_index() + 1 + j] — the self column of row self_rows[j]. A
+//     row's self slot keeps its position in the row and reads it. PHP
+//     fills it with `total[b] - phi[b]` before each gather pass; RWR and
+//     PageRank, which apply self-loop mass through self_rate_* in the
+//     epilogue, leave it at +0.0.
+//
+// Why the slices change no byte. Every term a row adds is >= +0.0, and a
+// row's sum starts at +0.0, so it is never -0.0 and adding +0.0 to it
+// leaves it unchanged bit for bit. Hence:
+//
+//   * pads (trailing `+ 0.0`, or `+ w * 0.0` with finite w) are
+//     identities;
+//   * a self slot under RWR / PageRank adds +0.0 mid-row — the same
+//     identity — which is exactly the reference skipping that slot;
+//   * a self slot under PHP adds `den * (total[b] - phi[b])` at its own
+//     position: the reference's operand, in the reference's order;
+//   * a unit slice skips the multiply, because `x * 1.0 == x` bitwise;
+//     the unweighted kernels never multiply (see the third invariant).
+//
+// Static rows. A row with no slot and no self rate can never hold mass:
+// RWR sets it to +0.0 in its first sweep and PHP starts it at 0, and from
+// then on its score stays +0.0 and its change term is +0.0, the identity
+// in the change sum. `live_rows` lists the other rows, ascending; RWR
+// from its second sweep and PHP throughout walk only that list (their
+// query-supernode block always runs), so the ascending order of the
+// `change` chain is kept. No slot can point at a static row (storage is
+// symmetric), so its stale sweep-vector entries are never read.
+// PageRank walks every row: base and dangling mass reach all of them.
 //
 // Byte-identity contract: a kernel running over these arrays adds the
 // same values in the same order as the reference sweep over the raw
@@ -49,6 +91,7 @@
 #ifndef PEGASUS_CORE_KERNEL_PLAN_H_
 #define PEGASUS_CORE_KERNEL_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,24 +100,41 @@
 namespace pegasus {
 
 struct KernelPlan {
-  // Sentinel for self_split: the row has no self-loop slot.
-  static constexpr uint32_t kNoSelf = UINT32_MAX;
+  static constexpr uint32_t kLanes = 4;      // C: rows per slice
+  static constexpr uint32_t kWindow = 256;   // σ: rows per sorting window
+  static constexpr uint64_t kUnitSlice = UINT64_MAX;  // den_begin: no densities
 
-  // Superedge CSR with self slots removed. row_begin is S+1 offsets
-  // into dst / den_w; within a row, dst ascends (canonical order).
+  // Slice offsets into dst (num_slices + 1 entries).
   std::vector<uint64_t> row_begin;
+  // Slot columns, lane-interleaved: slot j of lane l of slice k sits at
+  // row_begin[k] + j * kLanes + l. Holds x indices (see above).
   std::vector<uint32_t> dst;
+  // Weighted densities of the non-unit slices, shaped like their dst
+  // ranges (pads hold 0.0).
   std::vector<double> den_w;
+  std::vector<uint64_t> den_begin;  // per slice: offset into den_w, or kUnitSlice
+  std::vector<uint32_t> lane_row;   // kLanes per slice: row, or num_rows()
 
-  // Per-supernode self-loop data (size S each).
-  std::vector<uint32_t> self_split;  // position in compacted row, or kNoSelf
-  std::vector<double> self_den_w;    // CSR density of the self slot (else 0)
-  std::vector<double> self_rate_w;   // self_density_w / member_deg_w (else 0)
-  std::vector<double> self_rate_uw;  // self_density_uw / member_deg_uw
+  std::vector<uint32_t> live_rows;  // ascending rows that can hold mass
+  std::vector<uint32_t> self_rows;  // ascending rows with a self slot
 
+  // Per-supernode self-loop rates (size S each): the loop-invariant
+  // self_density / member_degree (0 when the reference guard fails).
+  std::vector<double> self_rate_w;
+  std::vector<double> self_rate_uw;
+
+  // The supernode count.
   uint32_t num_rows() const {
-    return row_begin.empty() ? 0u
-                             : static_cast<uint32_t>(row_begin.size() - 1);
+    return static_cast<uint32_t>(self_rate_w.size());
+  }
+  uint32_t num_slices() const {
+    return static_cast<uint32_t>(row_begin.size() - 1);
+  }
+  // x index every pad slot reads (+0.0).
+  uint32_t pad_index() const { return num_rows(); }
+  // Length of a sweep vector: rows, the pad column, the self columns.
+  size_t gather_extent() const {
+    return static_cast<size_t>(num_rows()) + 1 + self_rows.size();
   }
 
   // Derives a plan from serving arrays. Precondition: `layout` belongs

@@ -1,11 +1,14 @@
 // KernelScratch — reusable working memory for the iterative kernels.
 //
-// Every RWR / PHP / PageRank call needs three supernode-sized double
-// arrays (scores plus two ping-pong buffers). Allocating them per query
-// is measurable at serving scale, so the query engine threads a
+// Every RWR / PHP / PageRank call needs four arrays: the scores, two
+// ping-pong sweep vectors (as long as the plan's gather extent: rows,
+// pad column, self columns — see src/core/kernel_plan.h) and the
+// gathered incoming sum of each row. Allocating them per query is
+// measurable at serving scale, so the query engine threads a
 // KernelScratch through instead: buffers grow to the largest summary
-// they have served and are reused verbatim afterwards — steady-state
-// serving does zero internal allocations per iterative query.
+// they have served and are reused verbatim afterwards — within an
+// epoch, steady-state serving does zero internal allocations per
+// iterative query.
 //
 // A KernelScratch is single-query state and must never be shared by two
 // concurrent kernels. Executor worker ids are only unique within one
@@ -13,12 +16,15 @@
 // across concurrently admitted batches; KernelScratchPool instead hands
 // out exclusive leases from a mutex-guarded freelist (the lock is taken
 // once per query, not per sweep). The pool grows to the high-water mark
-// of concurrent iterative queries and holds its buffers for the life of
-// the service.
+// of concurrent iterative queries and holds its buffers until
+// ReleaseIdle, which QueryService::Publish calls: idle buffers are sized
+// for the retired epoch's plan, and freeing them lets the publish hand
+// their pages back to the OS.
 //
 // Scratch contents are uninitialized between uses; kernels must write
-// before they read (they fill every slot up front). Nothing here
-// affects answer bytes — byte-identity is pinned by the golden hashes.
+// before they read (they fill every slot they read up front, including
+// the pad and self columns). Nothing here affects answer bytes —
+// byte-identity is pinned by the golden hashes.
 
 #ifndef PEGASUS_QUERY_KERNEL_SCRATCH_H_
 #define PEGASUS_QUERY_KERNEL_SCRATCH_H_
@@ -32,15 +38,19 @@
 namespace pegasus {
 
 struct KernelScratch {
-  std::vector<double> scores;  // rho / phi
+  std::vector<double> scores;  // rho / phi, one per row
   std::vector<double> ping;    // rate or total, current sweep
   std::vector<double> pong;    // rate or total, next sweep
+  std::vector<double> cross;   // gathered incoming sum per row
 
-  // Grows (never shrinks) each buffer to at least n slots.
-  void Reserve(size_t n) {
-    if (scores.size() < n) scores.resize(n);
-    if (ping.size() < n) ping.resize(n);
-    if (pong.size() < n) pong.resize(n);
+  // Grows (never shrinks) the buffers for `rows` rows and sweep vectors
+  // of `extent` slots. cross has one spare slot, the target of the
+  // empty lanes of a partial slice.
+  void Reserve(size_t rows, size_t extent) {
+    if (scores.size() < rows) scores.resize(rows);
+    if (ping.size() < extent) ping.resize(extent);
+    if (pong.size() < extent) pong.resize(extent);
+    if (cross.size() < rows + 1) cross.resize(rows + 1);
   }
 };
 
@@ -66,6 +76,13 @@ class KernelScratchPool {
     KernelScratchPool* pool_;
     std::unique_ptr<KernelScratch> scratch_;
   };
+
+  // Drops every idle scratch; leases in flight return to the pool as
+  // usual.
+  void ReleaseIdle() {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.clear();
+  }
 
   Lease Acquire() {
     {

@@ -383,22 +383,96 @@ std::vector<double> SummaryPageRankReference(
 
 // --- Fused kernels over the KernelPlan -------------------------------------
 //
-// One pass per sweep instead of the reference's scatter + apply passes:
-// row b gathers its incoming mass (ascending source order — identical
-// to the order the reference's ascending-a scatter deposited it, with
-// equal densities because every layout a plan is built from stores each
-// superedge symmetrically — see kernel_plan.h), applies the
-// hoisted self rate, updates the score, and computes the *next* sweep's
-// outflow rate inline. Rates are double-buffered (ping/pong) because
-// row b's gather still needs earlier rows' previous-sweep rates.
+// Two passes per sweep instead of the reference's scatter + apply
+// passes. GatherCross walks the plan's slices and leaves in cross[b] row
+// b's incoming mass, summed along row b in ascending-slot order —
+// identical to the order the reference's ascending-a scatter deposited
+// it, with equal densities because every layout a plan is built from
+// stores each superedge symmetrically (see kernel_plan.h). The epilogue
+// then walks rows in ascending order, applies the hoisted self rate,
+// updates the score and computes the *next* sweep's outflow rate inline.
+// Rates are double-buffered (ping/pong) because the gather reads the
+// previous sweep's rates while the epilogue writes the next ones.
 //
 // Every floating-point operation below matches a reference operation
 // value-for-value and order-for-order; the only additions relative to
 // the reference are bitwise no-ops (`x * 1.0`, `x + 0.0` on
-// non-negative x). Goldens are the proof — do not "simplify" the
-// arithmetic here without rerunning them.
+// non-negative x — kernel_plan.h says where each one comes from).
+// Goldens are the proof — do not "simplify" the arithmetic here without
+// rerunning them.
 
 namespace {
+
+// cross[lane_row] = the lane's slots summed in slot order over x. The
+// four lanes of a slice are four independent add chains; pads and
+// RWR/PageRank self slots read x's +0.0 columns.
+template <bool kWeighted>
+void GatherCross(const KernelPlan& plan, const double* x, double* cross) {
+  static_assert(KernelPlan::kLanes == 4, "the gather is unrolled for 4 lanes");
+  const uint64_t* rb = plan.row_begin.data();
+  const uint32_t* dst = plan.dst.data();
+  const uint64_t* den_begin = plan.den_begin.data();
+  const double* den = plan.den_w.data();
+  const uint32_t* lane_row = plan.lane_row.data();
+  const uint32_t slices = plan.num_slices();
+  for (uint32_t k = 0; k < slices; ++k) {
+    const uint32_t* d = dst + rb[k];
+    const uint32_t* const end = dst + rb[k + 1];
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    if (kWeighted && den_begin[k] != KernelPlan::kUnitSlice) {
+      for (const double* w = den + den_begin[k]; d != end; d += 4, w += 4) {
+        s0 += w[0] * x[d[0]];
+        s1 += w[1] * x[d[1]];
+        s2 += w[2] * x[d[2]];
+        s3 += w[3] * x[d[3]];
+      }
+    } else {
+      for (; d != end; d += 4) {
+        s0 += x[d[0]];
+        s1 += x[d[1]];
+        s2 += x[d[2]];
+        s3 += x[d[3]];
+      }
+    }
+    const uint32_t* rows = lane_row + 4 * static_cast<size_t>(k);
+    cross[rows[0]] = s0;
+    cross[rows[1]] = s1;
+    cross[rows[2]] = s2;
+    cross[rows[3]] = s3;
+  }
+}
+
+// Sizes the scratch for the plan and sets the pad and self columns of both
+// sweep vectors to +0.0.
+void PrepareScratch(const KernelPlan& plan, KernelScratch& sc) {
+  const size_t rows = plan.num_rows();
+  const size_t extent = plan.gather_extent();
+  sc.Reserve(rows, extent);
+  std::fill(sc.ping.begin() + static_cast<ptrdiff_t>(rows),
+            sc.ping.begin() + static_cast<ptrdiff_t>(extent), 0.0);
+  std::fill(sc.pong.begin() + static_cast<ptrdiff_t>(rows),
+            sc.pong.begin() + static_cast<ptrdiff_t>(extent), 0.0);
+}
+
+// The plan's live rows either side of the query supernode a0, which
+// runs in its own block whether it is live or not.
+struct LiveRows {
+  const uint32_t* begin;
+  const uint32_t* before_end;  // [begin, before_end): rows < a0
+  const uint32_t* after;       // [after, end): rows > a0
+  const uint32_t* end;
+};
+
+LiveRows SplitLiveRows(const KernelPlan& plan, uint32_t a0) {
+  LiveRows live;
+  live.begin = plan.live_rows.data();
+  live.end = live.begin + plan.live_rows.size();
+  live.before_end = std::lower_bound(live.begin, live.end, a0);
+  live.after = live.before_end != live.end && *live.before_end == a0
+                   ? live.before_end + 1
+                   : live.before_end;
+  return live;
+}
 
 template <bool kWeighted>
 std::vector<double> FusedRwr(const SummaryView& view, const KernelPlan& plan,
@@ -414,14 +488,13 @@ std::vector<double> FusedRwr(const SummaryView& view, const KernelPlan& plan,
   const double* mcv = layout.member_count;
   const double* srv =
       kWeighted ? plan.self_rate_w.data() : plan.self_rate_uw.data();
-  const uint64_t* rb = plan.row_begin.data();
-  const uint32_t* dst = plan.dst.data();
-  const double* den = plan.den_w.data();
+  const LiveRows live = SplitLiveRows(plan, a0);
 
-  sc.Reserve(s);
+  PrepareScratch(plan, sc);
   double* rho = sc.scores.data();   // score of each non-q member
   double* rate = sc.ping.data();    // this sweep's outflow per degree
   double* rate_next = sc.pong.data();
+  double* cross = sc.cross.data();
   std::fill_n(rho, s, 1.0 / n);
   double rho_q = 1.0 / n;  // score of q itself
 
@@ -438,6 +511,7 @@ std::vector<double> FusedRwr(const SummaryView& view, const KernelPlan& plan,
   }
 
   for (int it = 0; it < opts.max_iterations; ++it) {
+    GatherCross<kWeighted>(plan, rate, cross);
     double change = 0.0;
     double new_rho_q = rho_q;
     // The query supernode's extra terms are hoisted into the dedicated
@@ -445,37 +519,30 @@ std::vector<double> FusedRwr(const SummaryView& view, const KernelPlan& plan,
     // checks. Bitwise-equal to the uniform loop: for b != a0 that loop
     // computed `mcv[b] - 0.0` and `cnt * rho[b] + 0.0`, both identity
     // on these non-negative values.
-    const auto generic_rows = [&](uint32_t lo, uint32_t hi) {
-      for (uint32_t b = lo; b < hi; ++b) {
-        double cross_b = 0.0;
-        const uint64_t e = rb[b + 1];
-        if constexpr (kWeighted) {
-          for (uint64_t i = rb[b]; i < e; ++i) cross_b += den[i] * rate[dst[i]];
-        } else {
-          for (uint64_t i = rb[b]; i < e; ++i) cross_b += rate[dst[i]];
-        }
-        const double sr = srv[b];
-        const double cnt = mcv[b];
-        double self_in_members = 0.0;
-        if (sr > 0.0) {
-          self_in_members = sr * (cnt * rho[b] - rho[b]);
-        }
-        const double nb = (1.0 - c) * (cross_b + self_in_members);
-        change += cnt * std::abs(nb - rho[b]);
-        rho[b] = nb;
-        const double md = mdv[b];
-        rate_next[b] = md <= 0.0 ? 0.0 : cnt * nb / md;
+    const auto generic_row = [&](uint32_t b) {
+      const double sr = srv[b];
+      const double cnt = mcv[b];
+      double self_in_members = 0.0;
+      if (sr > 0.0) {
+        self_in_members = sr * (cnt * rho[b] - rho[b]);
       }
+      const double nb = (1.0 - c) * (cross[b] + self_in_members);
+      change += cnt * std::abs(nb - rho[b]);
+      rho[b] = nb;
+      const double md = mdv[b];
+      rate_next[b] = md <= 0.0 ? 0.0 : cnt * nb / md;
     };
-    generic_rows(0, a0);
-    {  // b == a0: the row holding q itself
-      double cross_b = 0.0;
-      const uint64_t e = rb[a0 + 1];
-      if constexpr (kWeighted) {
-        for (uint64_t i = rb[a0]; i < e; ++i) cross_b += den[i] * rate[dst[i]];
-      } else {
-        for (uint64_t i = rb[a0]; i < e; ++i) cross_b += rate[dst[i]];
+    // The first sweep moves every row (static rows drop to +0.0); later
+    // sweeps walk the live rows only (kernel_plan.h, "Static rows").
+    if (it == 0) {
+      for (uint32_t b = 0; b < a0; ++b) generic_row(b);
+    } else {
+      for (const uint32_t* p = live.begin; p != live.before_end; ++p) {
+        generic_row(*p);
       }
+    }
+    {  // b == a0: the row holding q itself
+      const double cross_b = cross[a0];
       const double sr = srv[a0];
       const double cnt = mcv[a0] - 1.0;
       double self_in_members = 0.0;
@@ -492,7 +559,13 @@ std::vector<double> FusedRwr(const SummaryView& view, const KernelPlan& plan,
       const double md = mdv[a0];
       rate_next[a0] = md <= 0.0 ? 0.0 : cnt * nb / md;
     }
-    generic_rows(a0 + 1, s);
+    if (it == 0) {
+      for (uint32_t b = a0 + 1; b < s; ++b) generic_row(b);
+    } else {
+      for (const uint32_t* p = live.after; p != live.end; ++p) {
+        generic_row(*p);
+      }
+    }
     change += std::abs(new_rho_q - rho_q);
     rho_q = new_rho_q;
     {  // a0's rate above lacked rho_q, which only settled just now.
@@ -524,85 +597,66 @@ std::vector<double> FusedPhp(const SummaryView& view, const KernelPlan& plan,
   const SummaryLayout& layout = view.layout();
   const double* mdv = kWeighted ? layout.member_deg_w : layout.member_deg_uw;
   const double* mcv = layout.member_count;
-  const uint64_t* rb = plan.row_begin.data();
-  const uint32_t* dst = plan.dst.data();
-  const double* den = plan.den_w.data();
-  const uint32_t* split = plan.self_split.data();
-  const double* sden = plan.self_den_w.data();
+  const LiveRows live = SplitLiveRows(plan, a0);
+  const uint32_t* self_rows = plan.self_rows.data();
+  const size_t num_self = plan.self_rows.size();
+  const uint32_t self_col = plan.pad_index() + 1;
 
-  sc.Reserve(s);
+  PrepareScratch(plan, sc);
   double* phi = sc.scores.data();    // non-q member scores
   double* total = sc.ping.data();    // sum of scores inside supernode
   double* total_next = sc.pong.data();
+  double* cross = sc.cross.data();
   std::fill_n(phi, s, 0.0);
+  // Static rows are never walked, so both buffers hold their +0.0 up
+  // front (the next sweep's buffer otherwise only gets live rows).
+  std::fill_n(total_next, s, 0.0);
   for (uint32_t a = 0; a < s; ++a) {
     const double cnt = mcv[a] - (a == a0 ? 1.0 : 0.0);
     total[a] = cnt * phi[a] + (a == a0 ? 1.0 : 0.0);
   }
 
-  // The reference sums row b in ascending-slot order with the self term
-  // at its slot; the split re-creates that exact order over the
-  // compacted row: left segment, self, right segment.
-  const auto row_incoming = [&](uint32_t b, const double* total_cur) {
-    double incoming = 0.0;
-    const uint64_t base = rb[b];
-    const uint64_t e = rb[b + 1];
-    const uint32_t sp = split[b];
-    if (sp == KernelPlan::kNoSelf) {
-      if constexpr (kWeighted) {
-        for (uint64_t i = base; i < e; ++i)
-          incoming += den[i] * total_cur[dst[i]];
-      } else {
-        for (uint64_t i = base; i < e; ++i) incoming += total_cur[dst[i]];
-      }
-    } else {
-      const uint64_t mid = base + sp;
-      if constexpr (kWeighted) {
-        for (uint64_t i = base; i < mid; ++i)
-          incoming += den[i] * total_cur[dst[i]];
-        incoming += sden[b] * (total_cur[b] - phi[b]);
-        for (uint64_t i = mid; i < e; ++i)
-          incoming += den[i] * total_cur[dst[i]];
-      } else {
-        for (uint64_t i = base; i < mid; ++i) incoming += total_cur[dst[i]];
-        incoming += total_cur[b] - phi[b];
-        for (uint64_t i = mid; i < e; ++i) incoming += total_cur[dst[i]];
-      }
-    }
-    return incoming;
-  };
-
   for (int it = 0; it < opts.max_iterations; ++it) {
+    // The reference adds row b's self term `den * (total[b] - phi[b])`
+    // at the self slot's position; the self column carries its operand
+    // there.
+    for (size_t j = 0; j < num_self; ++j) {
+      const uint32_t b = self_rows[j];
+      total[self_col + j] = total[b] - phi[b];
+    }
+    GatherCross<kWeighted>(plan, total, cross);
     double change = 0.0;
     // As in FusedRwr: the query supernode's `- 1.0` / `+ 1.0` terms are
     // hoisted into the a0 block so generic rows skip the per-row
     // checks; `mcv[b] - 0.0` and `cnt * nb + 0.0` were identities.
-    const auto generic_rows = [&](uint32_t lo, uint32_t hi) {
-      for (uint32_t b = lo; b < hi; ++b) {
-        double nb = 0.0;
-        const double md = mdv[b];
-        if (md > 0.0) {
-          nb = decay * row_incoming(b, total) / md;
-        }
-        const double cnt = mcv[b];
-        change += cnt * std::abs(nb - phi[b]);
-        phi[b] = nb;
-        total_next[b] = cnt * nb;
+    const auto generic_row = [&](uint32_t b) {
+      double nb = 0.0;
+      const double md = mdv[b];
+      if (md > 0.0) {
+        nb = decay * cross[b] / md;
       }
+      const double cnt = mcv[b];
+      change += cnt * std::abs(nb - phi[b]);
+      phi[b] = nb;
+      total_next[b] = cnt * nb;
     };
-    generic_rows(0, a0);
+    for (const uint32_t* p = live.begin; p != live.before_end; ++p) {
+      generic_row(*p);
+    }
     {  // b == a0: the row holding q itself
       double nb = 0.0;
       const double md = mdv[a0];
       if (md > 0.0) {
-        nb = decay * row_incoming(a0, total) / md;
+        nb = decay * cross[a0] / md;
       }
       const double cnt = mcv[a0] - 1.0;
       change += cnt * std::abs(nb - phi[a0]);
       phi[a0] = nb;
       total_next[a0] = cnt * nb + 1.0;
     }
-    generic_rows(a0 + 1, s);
+    for (const uint32_t* p = live.after; p != live.end; ++p) {
+      generic_row(*p);
+    }
     std::swap(total, total_next);
     if (change < opts.tolerance) break;
   }
@@ -626,14 +680,12 @@ std::vector<double> FusedPageRank(const SummaryView& view,
   const double* mcv = layout.member_count;
   const double* srv =
       kWeighted ? plan.self_rate_w.data() : plan.self_rate_uw.data();
-  const uint64_t* rb = plan.row_begin.data();
-  const uint32_t* dst = plan.dst.data();
-  const double* den = plan.den_w.data();
 
-  sc.Reserve(s);
+  PrepareScratch(plan, sc);
   double* rho = sc.scores.data();  // one score per supernode
   double* rate = sc.ping.data();
   double* rate_next = sc.pong.data();
+  double* cross = sc.cross.data();
   std::fill_n(rho, s, 1.0 / n);
 
   // Initial rates and dangling mass (ascending order, as the reference's
@@ -651,24 +703,18 @@ std::vector<double> FusedPageRank(const SummaryView& view,
   }
 
   for (int it = 0; it < opts.max_iterations; ++it) {
+    GatherCross<kWeighted>(plan, rate, cross);
     const double base = (1.0 - damping) / n + damping * dangling / n;
     double change = 0.0;
     double next_dangling = 0.0;
     for (uint32_t b = 0; b < s; ++b) {
-      double incoming = 0.0;
-      const uint64_t e = rb[b + 1];
-      if constexpr (kWeighted) {
-        for (uint64_t i = rb[b]; i < e; ++i) incoming += den[i] * rate[dst[i]];
-      } else {
-        for (uint64_t i = rb[b]; i < e; ++i) incoming += rate[dst[i]];
-      }
       const double sr = srv[b];
       double self_in = 0.0;
       if (sr > 0.0) {
         // Each member receives from its |b|-1 co-members.
         self_in = sr * (mcv[b] * rho[b] - rho[b]);
       }
-      const double nb = base + damping * (incoming + self_in);
+      const double nb = base + damping * (cross[b] + self_in);
       change += mcv[b] * std::abs(nb - rho[b]);
       rho[b] = nb;
       const double total_next = mcv[b] * nb;

@@ -321,10 +321,12 @@ uint64_t QueryService::Publish(std::shared_ptr<const SummaryView> view) {
   }
   // Entries of superseded epochs can never be served again: batches key
   // the cache by the epoch they captured, epochs are monotonic, and an
-  // old-epoch batch still in flight computes without inserting. Then hand
-  // back what the retired epoch, and the traffic since the last turnover,
-  // left free in any malloc arena (see the header).
+  // old-epoch batch still in flight computes without inserting. Idle
+  // kernel scratch is sized for the retired epoch's plan; drop it too.
+  // Then hand back what the retired epoch, and the traffic since the last
+  // turnover, left free in any malloc arena (see the header).
   cache_.EvictOtherEpochs(new_epoch);
+  scratch_pool_.ReleaseIdle();
   ReleaseFreedMemory();
   return new_epoch;
 }

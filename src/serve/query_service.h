@@ -210,13 +210,14 @@ class QueryService {
   // O(1). Returns the new epoch. In-flight batches are unaffected.
   //
   // Memory: after the swap, the cache drops every superseded epoch's
-  // entries, and the freed heap pages of every malloc arena go back to
-  // the OS (ReleaseFreedMemory, src/util/memory.h). Turnover is when the
-  // largest shared serving state dies — the retired view's KernelPlan
-  // and its cached scores and rankings — and it was freed on whichever
-  // connection or executor thread last touched it, so without the
-  // release those pages, and the per-request kernel vectors freed since
-  // the last turnover, stay resident in that thread's arena.
+  // entries, the kernel scratch pool drops its idle buffers (sized for
+  // the retired plan), and the freed heap pages of every malloc arena go
+  // back to the OS (ReleaseFreedMemory, src/util/memory.h). Turnover is
+  // when the largest shared serving state dies — the retired view's
+  // KernelPlan and its cached scores and rankings — and it was freed on
+  // whichever connection or executor thread last touched it, so without
+  // the release those pages, and the per-request kernel vectors freed
+  // since the last turnover, stay resident in that thread's arena.
   uint64_t Publish(const SummaryGraph& summary);
   // Publishes an already-built view (shared with the caller).
   uint64_t Publish(std::shared_ptr<const SummaryView> view);

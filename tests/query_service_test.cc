@@ -560,21 +560,6 @@ TEST(QueryServiceTest, SupersededEpochNeverReentersCache) {
   EXPECT_EQ(cache.hits(), 2u);
 }
 
-// Supernodes of `block` consecutive ids, with a superedge wherever an
-// edge joins two blocks (or a block to itself): a summary whose kernels
-// and scratch are small next to the n-sized answers built from it.
-SummaryGraph BlockSummary(const Graph& g, NodeId block) {
-  std::vector<NodeId> labels(g.num_nodes());
-  for (NodeId u = 0; u < g.num_nodes(); ++u) labels[u] = u / block;
-  SummaryGraph s = SummaryGraph::FromPartition(g, labels);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      s.SetSuperedge(s.supernode_of(u), s.supernode_of(v), 1);
-    }
-  }
-  return s;
-}
-
 // Publish hands back what the traffic since the last turnover left free
 // in the malloc arenas of short-lived client threads: VmRSS falls across
 // the last Publish. On glibc the fall was 5068-8972 KiB over 20 runs
@@ -602,6 +587,20 @@ TEST(QueryServiceTest, PublishHandsFreedMemoryBackToTheOs) {
   constexpr int kClients = 8;
   constexpr int64_t kMinFallKb = 2048;
   ASSERT_TRUE(ReadResidentMemory().has_value());
+  // Supernodes of `block` consecutive ids, with a superedge wherever an
+  // edge joins two blocks (or a block to itself): a summary whose kernels
+  // and scratch are small next to the n-sized answers built from it.
+  const auto BlockSummary = [](const Graph& g, NodeId block) {
+    std::vector<NodeId> labels(g.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) labels[u] = u / block;
+    SummaryGraph s = SummaryGraph::FromPartition(g, labels);
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (const NodeId v : g.neighbors(u)) {
+        s.SetSuperedge(s.supernode_of(u), s.supernode_of(v), 1);
+      }
+    }
+    return s;
+  };
   std::vector<std::shared_ptr<const SummaryView>> views;
   for (const uint64_t seed : {11u, 12u}) {
     const Graph g = GenerateBarabasiAlbert(kNodes, 3, seed);
