@@ -221,7 +221,7 @@ void ExpectPlanMatchesLayout(const KernelPlan& plan,
       if (row == pad) {
         // Empty lanes only fill out the last slice, and read only pads.
         EXPECT_EQ(k, slices - 1);
-        EXPECT_EQ(lane >= rows, true) << k;
+        EXPECT_GE(lane, rows) << k;
         for (uint64_t j = 0; j < width; ++j) {
           EXPECT_EQ(plan.dst[begin + j * kLanes + l], pad) << k;
         }
