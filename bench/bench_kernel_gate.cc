@@ -24,6 +24,7 @@
 #include "src/graph/generators.h"
 #include "src/query/kernel_scratch.h"
 #include "src/query/summary_view.h"
+#include "tests/support/reference_kernels.h"
 
 namespace pegasus::bench {
 namespace {

@@ -233,12 +233,15 @@ Status CheckEdgeSymmetryAndCount(const SummaryLayout& l,
   const auto Superedge = [](uint32_t a, uint32_t b) {
     return "superedge {" + std::to_string(a) + ", " + std::to_string(b) + "}";
   };
+  const auto Members = [&](uint32_t a) {
+    return static_cast<int64_t>(l.member_begin[a + 1] - l.member_begin[a]);
+  };
+  const auto Row = [&](uint32_t section, uint32_t a) {
+    return SectionLabel(section) + ": supernode " + std::to_string(a);
+  };
   for (uint32_t a = 0; a < s; ++a) {
-    const double self_uw = l.self_density_uw[a];
-    if (self_uw != 0.0 && self_uw != 1.0) {
-      return Corrupt(path, SectionLabel(13) + ": supernode " +
-                               std::to_string(a) + " is neither 0.0 nor 1.0");
-    }
+    uint64_t self_slot = UINT64_MAX;
+    int64_t deg_uw = 0;  // Σ cnt, exact (FORMAT.md, derived sections)
     for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
       if (l.edge_density_uw[i] != 1.0) {
         return Corrupt(path, SectionLabel(8) + ": slot " + std::to_string(i) +
@@ -246,10 +249,13 @@ Status CheckEdgeSymmetryAndCount(const SummaryLayout& l,
       }
       const uint32_t b = l.edge_dst[i];
       if (b == a) {
+        self_slot = i;
+        deg_uw += Members(a) - 1;
         ++self_loops;
         ++pairs;
         continue;
       }
+      deg_uw += Members(b);
       if (b > a) ++pairs;
       const int64_t back = FindSlot(l, b, a);
       if (back < 0) {
@@ -264,6 +270,31 @@ Status CheckEdgeSymmetryAndCount(const SummaryLayout& l,
         return Corrupt(path, SectionLabel(7) + ": " + Superedge(a, b) +
                                  " has different densities in its two rows");
       }
+    }
+    // A self density or degree with no slot behind it would make the
+    // kernels move mass the CSR does not hold.
+    const bool has_self = self_slot != UINT64_MAX;
+    const double self_w = has_self ? l.edge_density_w[self_slot] : 0.0;
+    if (std::bit_cast<uint64_t>(l.self_density_w[a]) !=
+        std::bit_cast<uint64_t>(self_w)) {
+      return Corrupt(path, Row(12, a) + (has_self
+                                             ? " differs from its self slot"
+                                             : " is nonzero, no self slot"));
+    }
+    if (l.self_density_uw[a] != (has_self ? 1.0 : 0.0)) {
+      return Corrupt(path, Row(13, a) + (has_self
+                                             ? " is not 1.0 with a self slot"
+                                             : " is not 0.0, no self slot"));
+    }
+    if (l.member_deg_uw[a] != static_cast<double>(deg_uw)) {
+      return Corrupt(path, Row(11, a) + " stores " +
+                               std::to_string(l.member_deg_uw[a]) +
+                               " but its slots span " +
+                               std::to_string(deg_uw) + " members");
+    }
+    if (l.edge_begin[a + 1] == l.edge_begin[a] && l.member_deg_w[a] != 0.0) {
+      return Corrupt(path,
+                     Row(10, a) + " has no superedge but a nonzero degree");
     }
   }
   if (pairs != l.num_superedges) {
@@ -325,12 +356,8 @@ StatusOr<SummaryGraph> LoadSummaryBinary(const std::string& path) {
   const uint32_t s = static_cast<uint32_t>(l.num_supernodes);
   for (uint32_t a = 0; a < s; ++a) {
     for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
+      // CheckLayoutBounds has refused weight 0 (an erased slot).
       const uint32_t b = l.edge_dst[i];
-      // SummaryGraph stores weights >= 1 (0 marks an erased slot).
-      if (l.edge_weight[i] == 0) {
-        return Corrupt(path, "superedge {" + std::to_string(a) + ", " +
-                                 std::to_string(b) + "} has weight 0");
-      }
       if (b >= a) summary.SetSuperedge(a, b, l.edge_weight[i]);
     }
   }
@@ -397,8 +424,9 @@ Status ValidatePsb(const uint8_t* data, size_t size, const std::string& path) {
   }
   if (Status st = CheckEdgeSymmetryAndCount(l, path); !st) return st;
 
-  // Recompute the derived sections (7-13) from the structural ones with
-  // the exact arithmetic SummaryView uses; a valid file matches bitwise.
+  // Recompute derived sections 7, 9 and 10 with the exact arithmetic
+  // SummaryView uses; a valid file matches bitwise (CheckEdgeSymmetryAndCount
+  // pinned 8 and 11-13, which follow from the structure alone).
   for (uint32_t a = 0; a < s; ++a) {
     const double na =
         static_cast<double>(l.member_begin[a + 1] - l.member_begin[a]);
@@ -409,8 +437,7 @@ Status ValidatePsb(const uint8_t* data, size_t size, const std::string& path) {
                                " but its member range holds " +
                                std::to_string(na));
     }
-    double deg_w = 0.0, deg_uw = 0.0;
-    double self_w = 0.0, self_uw = 0.0;
+    double deg_w = 0.0;
     for (uint64_t i = l.edge_begin[a]; i < l.edge_begin[a + 1]; ++i) {
       const uint32_t b = l.edge_dst[i];
       const double nb = static_cast<double>(l.member_begin[b + 1] -
@@ -422,39 +449,15 @@ Status ValidatePsb(const uint8_t* data, size_t size, const std::string& path) {
               : std::min(1.0, static_cast<double>(l.edge_weight[i]) / pairs);
       const double cnt = b == a ? na - 1.0 : nb;
       deg_w += d * cnt;
-      deg_uw += 1.0 * cnt;
       if (l.edge_density_w[i] != d) {
         return Corrupt(path, SectionLabel(7) + ": slot " + std::to_string(i) +
                                  " does not match the recomputed density");
-      }
-      if (l.edge_density_uw[i] != 1.0) {
-        return Corrupt(path, SectionLabel(8) + ": slot " + std::to_string(i) +
-                                 " is not the constant 1.0");
-      }
-      if (b == a) {
-        self_w = d;
-        self_uw = 1.0;
       }
     }
     if (l.member_deg_w[a] != deg_w) {
       return Corrupt(path, SectionLabel(10) + ": supernode " +
                                std::to_string(a) +
                                " does not match the recomputed degree");
-    }
-    if (l.member_deg_uw[a] != deg_uw) {
-      return Corrupt(path, SectionLabel(11) + ": supernode " +
-                               std::to_string(a) +
-                               " does not match the recomputed degree");
-    }
-    if (l.self_density_w[a] != self_w) {
-      return Corrupt(path, SectionLabel(12) + ": supernode " +
-                               std::to_string(a) +
-                               " does not match the recomputed self-density");
-    }
-    if (l.self_density_uw[a] != self_uw) {
-      return Corrupt(path, SectionLabel(13) + ": supernode " +
-                               std::to_string(a) +
-                               " does not match the recomputed self-density");
     }
   }
   return Status::Ok();

@@ -67,12 +67,14 @@ StatusOr<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 Status CheckLayoutBounds(const SummaryLayout& layout, const std::string& path);
 
 // Linear pass over arrays that passed CheckLayoutBounds, enforcing the
-// edge invariants the iterative kernels rely on: every cross superedge
-// is stored from both endpoints with equal weight and equal weighted
-// density (section 7), every unweighted density is 1.0 (section 8),
-// every unweighted self-density is 0.0 or 1.0 (section 13), and the
-// header's superedge count matches the CSR (2·|P| = slots + self-loops).
-// kDataLoss naming the violation.
+// invariants the iterative kernels rely on: every cross superedge is
+// stored from both endpoints with equal weight and equal weighted
+// density (section 7), every unweighted density is 1.0 (section 8), the
+// CSR matches the header (2·|P| = slots + self-loops), and each row's
+// statistics match its slots: self densities come from the self slot,
+// else are 0.0 (sections 12, 13); the unweighted member degree is the
+// exact Σ cnt (section 11); a slotless row has weighted degree 0.0
+// (section 10). kDataLoss naming the violation.
 [[nodiscard]]
 Status CheckEdgeSymmetryAndCount(const SummaryLayout& layout,
                                  const std::string& path);
@@ -91,8 +93,9 @@ Status CheckEdgeSymmetryAndCount(const SummaryLayout& layout,
 // zero inter-section padding, decode, CheckLayoutBounds, member lists
 // grouped consistently with node_to_super (each node exactly once, in its
 // own supernode's range, ascending within it), CheckEdgeSymmetryAndCount,
-// and bitwise recomputation of the five statistics sections and two
-// density sections from the structural ones.
+// and bitwise recomputation from the structural sections of what that
+// check leaves open: the member counts, the weighted densities and the
+// weighted member degrees (sections 7, 9, 10).
 [[nodiscard]]
 Status ValidatePsb(const uint8_t* data, size_t size, const std::string& path);
 

@@ -24,10 +24,7 @@ KernelPlan KernelPlan::Build(const SummaryLayout& layout) {
     for (uint64_t i = eb[a]; i < eb[a + 1]; ++i) {
       if (layout.edge_dst[i] == a) plan.self_rows.push_back(a);
     }
-    if (eb[a + 1] > eb[a] || plan.self_rate_w[a] > 0.0 ||
-        plan.self_rate_uw[a] > 0.0) {
-      plan.live_rows.push_back(a);
-    }
+    if (eb[a + 1] > eb[a]) plan.live_rows.push_back(a);
   }
 
   // Row order inside each window: slot count descending, then row id.

@@ -56,20 +56,21 @@
 //   * a unit slice skips the multiply, because `x * 1.0 == x` bitwise;
 //     the unweighted kernels never multiply (see the third invariant).
 //
-// Static rows. A row with no slot and no self rate can never hold mass:
-// RWR sets it to +0.0 in its first sweep and PHP starts it at 0, and from
-// then on its score stays +0.0 and its change term is +0.0, the identity
-// in the change sum. `live_rows` lists the other rows, ascending; RWR
-// from its second sweep and PHP throughout walk only that list (their
-// query-supernode block always runs), so the ascending order of the
-// `change` chain is kept. No slot can point at a static row (storage is
-// symmetric), so its stale sweep-vector entries are never read.
-// PageRank walks every row: base and dangling mass reach all of them.
+// Static rows. A row with no slot can never hold mass: its self
+// densities are 0.0 (the fourth invariant below), so it has no self rate
+// either. RWR sets it to +0.0 in its first sweep and PHP starts it at 0,
+// and from then on its score stays +0.0 and its change term is +0.0, the
+// identity in the change sum. `live_rows` lists the rows with a slot,
+// ascending; RWR from its second sweep and PHP throughout walk only that
+// list (their query-supernode block always runs), so the ascending order
+// of the `change` chain is kept. No slot can point at a static row
+// (storage is symmetric), so its stale sweep-vector entries are never
+// read. PageRank walks every row: base and dangling mass reach all of them.
 //
 // Byte-identity contract: a kernel running over these arrays adds the
 // same values in the same order as the reference sweep over the raw
 // layout, so scores are bit-for-bit identical (goldens in
-// tests/test_util.h do not move). That equivalence rests on three
+// tests/test_util.h do not move). That equivalence rests on four
 // layout invariants, which a plan assumes rather than re-checks:
 //
 //   * rows strictly ascend, so each row holds at most one self slot;
@@ -80,9 +81,11 @@
 //     symmetric;
 //   * every unweighted density (cross and self) is 1.0 or, for a
 //     missing self-loop, 0.0, letting the unweighted kernels drop the
-//     multiply (x * 1.0 == x bitwise).
+//     multiply (x * 1.0 == x bitwise);
+//   * a row's self densities come from its self slot, and are 0.0 with
+//     no self slot, so a row with no slot is static (see above).
 //
-// Built views hold all three by construction. A PSB1 file is checked by
+// Built views hold all four by construction. A PSB1 file is checked by
 // SummaryArena::Map (CheckLayoutBounds + CheckEdgeSymmetryAndCount in
 // src/core/binary_summary_io.h) and rejected with kDataLoss before a
 // plan is derived from it, so there is one kernel per query family and

@@ -141,7 +141,8 @@ StatusOr<SummarizationResult> Summarize(const Graph& graph,
 
   // num_threads == 0 always routes to the parallel engine (even on a
   // single-core machine) so that "auto" results are machine-independent;
-  // 1 (or a nonsensical negative) keeps the historical serial schedule.
+  // 1 keeps the historical serial schedule (negatives were rejected by
+  // ValidateSummarizationInputs).
   if (config.num_threads == 0 || config.num_threads > 1) {
     std::optional<Executor> owned;
     if (pool == nullptr) pool = &owned.emplace(config.num_threads);

@@ -53,9 +53,9 @@
 // layout once — and the RWR / PHP / PageRank kernels run fused
 // branch-free sweeps over it. That is the only production path: a PSB1
 // file the plan could not serve is rejected by SummaryArena::Map. The
-// reference sweeps (Summary*Reference below) are the oracle the fused
-// ones are byte-compared against; the golden hashes in tests/test_util.h
-// pin the bytes.
+// fused sweeps are byte-compared against the reference sweeps (see the
+// end of this header); the golden hashes in tests/test_util.h pin the
+// bytes.
 //
 // Thread-safety: a SummaryView is deeply const after construction; any
 // number of threads may query it concurrently (the batched engine in
@@ -220,13 +220,10 @@ class SummaryView {
 // Alg. 4: approximate neighbors of q in Ĝ (sorted ascending).
 std::vector<NodeId> SummaryNeighbors(const SummaryView& view, NodeId q);
 
-// Alg. 5, faithful node-level BFS on Ĝ through SummaryNeighbors (for
-// validation and small graphs).
-std::vector<uint32_t> SummaryHopDistances(const SummaryView& view, NodeId q);
-
-// Blockwise equivalent of Alg. 5: all members of a supernode other than
-// q are structurally equivalent in Ĝ, so one distance per supernode
-// suffices. Identical output, O(|V| + |P|).
+// Blockwise Alg. 5: all members of a supernode other than q are
+// structurally equivalent in Ĝ, so one distance per supernode suffices.
+// Same output as a node-level BFS through SummaryNeighbors (the test
+// oracle, see the end of this header), O(|V| + |P|).
 std::vector<uint32_t> FastSummaryHopDistances(const SummaryView& view,
                                               NodeId q);
 
@@ -269,24 +266,8 @@ std::vector<double> SummaryClusteringCoefficients(const SummaryView& view,
                                                   bool weighted = true);
 
 // --- Reference sweeps -------------------------------------------------------
-//
-// The pre-KernelPlan formulations, kept verbatim and never dispatched:
-// the query families above always run the fused sweeps. They are the
-// oracle the fused kernels are byte-compared against in tests, and the
-// yardstick bench_kernel_gate's speedup gate measures against. Same
-// bytes as the fused kernels, always.
-
-std::vector<double> SummaryRwrScoresReference(
-    const SummaryView& view, NodeId q, double restart_prob = 0.05,
-    bool weighted = true, const IterativeQueryOptions& opts = {});
-
-std::vector<double> SummaryPhpScoresReference(
-    const SummaryView& view, NodeId q, double decay = 0.95,
-    bool weighted = true, const IterativeQueryOptions& opts = {});
-
-std::vector<double> SummaryPageRankReference(
-    const SummaryView& view, double damping = 0.85, bool weighted = true,
-    const IterativeQueryOptions& opts = {});
+// The never-dispatched oracles the kernels above are checked against live
+// in the test-support target tests/support/reference_kernels.{h,cc}.
 
 }  // namespace pegasus
 

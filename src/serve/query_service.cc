@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/binary_summary_io.h"
-#include "src/core/dynamic_summary.h"
 #include "src/core/summary_arena.h"
 #include "src/core/summary_io.h"
 #include "src/serve/text_serving.h"
@@ -329,10 +328,6 @@ uint64_t QueryService::Publish(std::shared_ptr<const SummaryView> view) {
   scratch_pool_.ReleaseIdle();
   ReleaseFreedMemory();
   return new_epoch;
-}
-
-uint64_t QueryService::Publish(const DynamicSummary& dynamic) {
-  return Publish(dynamic.view());
 }
 
 uint64_t QueryService::epoch() const {

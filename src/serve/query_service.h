@@ -24,9 +24,6 @@
 // Each Answer() captures one (view, epoch) snapshot up front, so every
 // answer in a batch is computed against a single epoch even if Publish()
 // lands mid-batch; the served epoch is reported in the BatchResult.
-// This is also how DynamicSummary mutations reach the serving path:
-// rebuild (or mutate and Rebuild()) offline, then Publish() the new
-// summary — queries swap epochs without a stall.
 //
 // Cost-aware scheduling: the batch executor fans requests over the pool
 // in *units*. Cheap O(deg)-per-answer work — neighbors queries and
@@ -68,9 +65,6 @@
 #include "src/util/status.h"
 
 namespace pegasus {
-
-class DynamicSummary;
-
 namespace serve {
 
 // Requests per unit for cheap families (see cost-aware scheduling
@@ -221,11 +215,6 @@ class QueryService {
   uint64_t Publish(const SummaryGraph& summary);
   // Publishes an already-built view (shared with the caller).
   uint64_t Publish(std::shared_ptr<const SummaryView> view);
-  // Publishes the dynamic summary's current base summary, sharing the
-  // view it already holds (no second build). Note the exact
-  // delta overlay is *not* folded in — callers decide when to Rebuild()
-  // and re-Publish, trading staleness for rebuild cost.
-  uint64_t Publish(const DynamicSummary& dynamic);
 
   // Current epoch; 0 until the first Publish.
   uint64_t epoch() const;

@@ -40,18 +40,18 @@ Status EnsureDir(const std::string& path) {
 }
 
 // Summarizes every part of `partition` and hands machine i's summary to
-// sink(i, summary). With config.num_threads == 1 the machines run one
-// after another on the serial engine, in machine order, stopping at the
-// first error. Otherwise they run concurrently on ONE executor of
-// config.num_threads workers, and each machine's parallel engine nests
-// its rounds on that same executor (internal::SummarizeGraphOn): a
-// machine is one task, and the executor admits at most num_workers()
-// participants per job, so at most that many machines (and their
-// summaries) are in memory at once. Sinks run inside the machine's task,
-// so they must only write state indexed by i. Either way the summaries
-// are byte-identical — the parallel engine's output does not depend on
-// the worker count — and the error returned is the lowest-numbered
-// machine's: a summarizer error prefixed with the machine, or the sink's.
+// sink(i, summary). The machines run as tasks on ONE executor of
+// config.num_threads workers, and each machine's engine nests its rounds
+// on that same executor (internal::SummarizeGraphOn): a machine is one
+// task, and the executor admits at most num_workers() participants per
+// job, so at most that many machines (and their summaries) are in memory
+// at once. At 1 thread the executor runs inline, so the machines run one
+// after another in machine order, each on the serial engine. Sinks run
+// inside the machine's task, so they must only write state indexed by i.
+// The summaries do not depend on the schedule — the parallel engine's
+// output does not depend on the worker count — and the error returned is
+// the lowest-numbered machine's: a summarizer error prefixed with the
+// machine, or the sink's.
 Status ForEachShardSummary(
     const Graph& graph, const Partition& partition, double budget_bits,
     const PegasusConfig& config,
@@ -66,14 +66,12 @@ Status ForEachShardSummary(
   // to its own node set, with an independent seed stream. The seed
   // schedule and the error prefix are load-bearing compatibility: the
   // in-process SummaryCluster delegates here and its goldens pin both.
-  auto build = [&](uint32_t i, Executor* pool) -> Status {
+  Executor pool(config.num_threads);
+  auto build = [&](uint32_t i) -> Status {
     PegasusConfig machine_config = config;
     machine_config.seed = SplitMix64(config.seed + i + 1);
-    auto machine =
-        pool == nullptr
-            ? SummarizeGraph(graph, parts[i], budget_bits, machine_config)
-            : internal::SummarizeGraphOn(*pool, graph, parts[i], budget_bits,
-                                         machine_config);
+    auto machine = internal::SummarizeGraphOn(pool, graph, parts[i],
+                                              budget_bits, machine_config);
     if (!machine) {
       return Status(machine.status().code(),
                     "machine " + std::to_string(i) + ": " +
@@ -82,17 +80,10 @@ Status ForEachShardSummary(
     return sink(i, std::move(*machine).summary);
   };
   const auto m = static_cast<uint32_t>(parts.size());
-  if (config.num_threads == 1) {
-    for (uint32_t i = 0; i < m; ++i) {
-      if (Status s = build(i, nullptr); !s) return s;
-    }
-    return Status::Ok();
-  }
-  Executor pool(config.num_threads);
   std::vector<Status> status(m);
   pool.ParallelFor(m, /*grain=*/1, [&](int, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      status[i] = build(static_cast<uint32_t>(i), &pool);
+      status[i] = build(static_cast<uint32_t>(i));
     }
   });
   for (Status& s : status) {

@@ -61,11 +61,11 @@ Partition RunPartitioner(const Graph& graph, uint32_t num_parts,
 
 // Builds one summary of `graph` per part, personalized to that part's
 // nodes (machine i: targets = V_i, budget = budget_bits_per_shard, seed
-// = SplitMix64(config.seed + i + 1)). config.num_threads == 1 builds the
-// machines one after another on the serial engine; any other value builds
-// them concurrently on one executor of that many workers, which each
-// machine's parallel engine shares, with at most that many machines in
-// flight. The summaries do not depend on the worker count. Errors:
+// = SplitMix64(config.seed + i + 1)). The machines run on one executor
+// of config.num_threads workers, which each machine's engine shares, with
+// at most that many machines in flight; at 1 thread they run one after
+// another on the serial engine. The summaries do not depend on the worker
+// count. Errors:
 // kInvalidArgument when the partition does not cover the graph, plus
 // whatever the summarizer rejects, prefixed with the lowest-numbered
 // failing machine.

@@ -35,6 +35,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <memory>
@@ -57,6 +58,7 @@
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
 #include "src/util/status.h"
+#include "tests/support/reference_kernels.h"
 #include "tests/test_util.h"
 
 namespace pegasus {
@@ -443,11 +445,11 @@ TEST(KernelPlanTest, FusedKernelsMatchReferenceWithNonUnitDensities) {
   ExpectFusedMatchesReference(view, {4, 421, 600});
 }
 
-// A PSB1 file may give a superedge-free supernode a self density (the
-// arena checks do not tie self densities to self slots). Such a row is
-// not static under RWR and PageRank, so the plan keeps it live and the
-// fused sweeps still answer with the reference bytes.
-TEST(KernelPlanTest, SelfRateWithoutSlotKeepsTheRowLive) {
+// A PSB1 file may not give a superedge-free supernode a self density:
+// every kernel would move mass through a self-loop the CSR does not
+// hold. Map rejects it on either backing, naming the section, which is
+// what lets the plan treat every row without a slot as static.
+TEST(KernelPlanTest, SelfRateWithoutSlotIsRejected) {
   const SummaryGraph summary = IsolatedSummary();
   const SummaryView built(summary);
   const uint32_t row = built.supernode_of(kIsolatedPair);
@@ -468,13 +470,17 @@ TEST(KernelPlanTest, SelfRateWithoutSlotKeepsTheRowLive) {
   layout.member_deg_uw = deg_uw.data();
 
   const std::string path = TempPath("kernel_plan_self_rate.psb");
-  ASSERT_TRUE(SaveSummaryBinary(layout, path, {}));
-  auto arena = SummaryArena::Map(path);
-  ASSERT_TRUE(arena) << arena.status().ToString();
-  SummaryView mapped(*arena);
-  EXPECT_TRUE(std::binary_search(mapped.kernel_plan().live_rows.begin(),
-                                 mapped.kernel_plan().live_rows.end(), row));
-  ExpectFusedMatchesReference(mapped, {kIsolatedPair, kIsolatedSingle});
+  for (bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact" : "raw");
+    ASSERT_TRUE(SaveSummaryBinary(layout, path, {.compact = compact}));
+    auto arena = SummaryArena::Map(path);
+    ASSERT_FALSE(arena.has_value());
+    EXPECT_EQ(arena.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(arena.status().ToString().find("self_density_w"),
+              std::string::npos)
+        << arena.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 // --- Built views are servable ----------------------------------------------

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/core/binary_summary_io.h"
-#include "src/core/dynamic_summary.h"
 #include "src/core/pegasus.h"
 #include "src/graph/generators.h"
 #include "src/query/query_engine.h"
@@ -125,6 +124,11 @@ TEST(QueryServiceTest, PublishBumpsEpochMonotonically) {
   EXPECT_EQ(service.epoch(), 2u);
   ASSERT_NE(service.view(), nullptr);
   EXPECT_EQ(service.view()->num_nodes(), g.num_nodes());
+
+  // A shared view is published as is, not rebuilt.
+  const auto shared = std::make_shared<const SummaryView>(summary);
+  EXPECT_EQ(service.Publish(shared), 3u);
+  EXPECT_EQ(service.view(), shared);
 
   // The convenience constructor publishes epoch 1.
   QueryService eager(summary);
@@ -303,36 +307,6 @@ TEST(QueryServiceTest, InvalidRequestsRejectedTyped) {
       service.AnswerOne({QueryKind::kRwr, 1, 0.05, true, {}});
   ASSERT_TRUE(defaulted.ok() && explicit_default.ok());
   EXPECT_EQ(defaulted->scores, explicit_default->scores);
-}
-
-TEST(QueryServiceTest, PublishesDynamicSummaryRebuilds) {
-  Graph g = GenerateBarabasiAlbert(100, 3, 416);
-  DynamicSummary::Options options;
-  options.ratio = 0.5;
-  DynamicSummary dynamic = *DynamicSummary::Create(g, {}, options);
-
-  QueryService service;
-  EXPECT_EQ(service.Publish(dynamic), 1u);
-  EXPECT_EQ(service.view(), dynamic.view());  // shared, not rebuilt
-  const SummaryView view1(dynamic.summary());
-  const auto requests = ServiceBatch(g.num_nodes());
-  const auto before = service.Answer(requests);
-  ASSERT_TRUE(before.ok());
-  ExpectSameResults(before->results, Expected(view1, requests), "epoch1");
-
-  // Mutate, rebuild offline, republish: the service swaps epochs and
-  // serves the rebuilt summary.
-  for (NodeId u = 0; u + 7 < g.num_nodes(); u += 7) {
-    dynamic.AddEdge(u, u + 7);
-  }
-  dynamic.Rebuild();
-  EXPECT_EQ(service.Publish(dynamic), 2u);
-  EXPECT_EQ(service.view(), dynamic.view());
-  const SummaryView view2(dynamic.summary());
-  const auto after = service.Answer(requests);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->epoch, 2u);
-  ExpectSameResults(after->results, Expected(view2, requests), "epoch2");
 }
 
 // The serving path must reproduce the cross-stdlib goldens bit-for-bit:

@@ -2,8 +2,8 @@
 // byte-identically to a freshly built view (the cross-stdlib goldens pin
 // both), the heap-decode fallback for compact files gives the same
 // answers, the arrays are bit-for-bit the built view's arrays, Map's
-// structural and edge-invariant checks reject damaged files on either
-// backing, and Map skips checksums.
+// structural, edge-invariant and per-row statistics checks reject
+// damaged files on either backing, and Map skips checksums.
 
 #include <gtest/gtest.h>
 
@@ -176,14 +176,16 @@ TEST(SummaryArenaTest, StructuralValidationRejectsBadArrays) {
   std::remove(path.c_str());
 }
 
-// Writes the golden summary (raw or compact), overwrites element `slot`
-// of f64 section `section_id` with `value`, and maps the result. Float
-// sections are raw in both encodings, so the element sits at a fixed
-// offset either way and both of Map's backings are exercised.
+// Writes `layout` (raw or compact), overwrites element `slot` of f64
+// section `section_id` with `value`, and maps the result. Float sections
+// are raw in both encodings, so the element sits at a fixed offset
+// either way and both of Map's backings are exercised.
 StatusOr<std::shared_ptr<const SummaryArena>> MapWithF64(
-    const std::string& path, bool compact, uint32_t section_id, uint64_t slot,
-    double value) {
-  WriteGoldenPsb(path, compact);
+    const std::string& path, const SummaryLayout& layout, bool compact,
+    uint32_t section_id, uint64_t slot, double value) {
+  PsbWriteOptions opts;
+  opts.compact = compact;
+  EXPECT_TRUE(SaveSummaryBinary(layout, path, opts));
   auto bytes = ReadFileBytes(path);
   EXPECT_TRUE(bytes.has_value());
   auto header = psb::ParsePsbHeader(bytes->data(), bytes->size(),
@@ -230,7 +232,7 @@ TEST(SummaryArenaTest, MapRejectsAsymmetricEdgeDensity) {
   for (bool compact : {false, true}) {
     SCOPED_TRACE(compact ? "compact" : "raw");
     const std::string path = TempPath("asym_density.psb");
-    ExpectRejectedNaming(MapWithF64(path, compact, 7, slot, perturbed),
+    ExpectRejectedNaming(MapWithF64(path, l, compact, 7, slot, perturbed),
                          "edge_density_w");
     std::remove(path.c_str());
   }
@@ -239,15 +241,78 @@ TEST(SummaryArenaTest, MapRejectsAsymmetricEdgeDensity) {
 TEST(SummaryArenaTest, MapRejectsNonUnitUnweightedDensity) {
   // The unweighted kernels drop the `* 1.0`; a density of 0.5 would make
   // them disagree with the reference sweep.
+  const Graph g = ::pegasus::testing::QueryGoldenGraph();
+  const SummaryView built(::pegasus::testing::QueryGoldenSummary(g));
   for (bool compact : {false, true}) {
     SCOPED_TRACE(compact ? "compact" : "raw");
     const std::string path = TempPath("uw_density.psb");
-    ExpectRejectedNaming(MapWithF64(path, compact, 8, 0, 0.5),
+    ExpectRejectedNaming(MapWithF64(path, built.layout(), compact, 8, 0, 0.5),
                          "edge_density_uw");
-    ExpectRejectedNaming(MapWithF64(path, compact, 13, 0, 0.5),
+    ExpectRejectedNaming(MapWithF64(path, built.layout(), compact, 13, 0, 0.5),
                          "self_density_uw");
     std::remove(path.c_str());
   }
+}
+
+// --- Per-row statistics tied to the row's slots ----------------------------
+//
+// Two supernodes: kSelfRow = {0, 1, 2} with a self superedge of weight 3
+// (self densities 1.0, unweighted member degree 2) and kBareRow = {3},
+// which has no superedge. The kernels read a row's self densities and
+// member degrees next to its slots, so Map must refuse a file where they
+// disagree. Each rule is checked on both backings, after checking that
+// the unedited file maps.
+constexpr uint32_t kSelfRow = 0;
+constexpr uint32_t kBareRow = 1;
+
+void ExpectRowEditRejected(uint32_t section_id, uint32_t row, double value,
+                           const std::string& section) {
+  const Graph empty(std::vector<EdgeId>(5, 0), {});
+  SummaryGraph summary = SummaryGraph::FromPartition(empty, {0, 0, 0, 1});
+  summary.SetSuperedge(summary.supernode_of(0), summary.supernode_of(0), 3);
+  const SummaryView built(summary);
+  ASSERT_EQ(built.supernode_of(0), kSelfRow);
+  ASSERT_EQ(built.supernode_of(3), kBareRow);
+  for (bool compact : {false, true}) {
+    SCOPED_TRACE(section + (compact ? " compact" : " raw"));
+    // ctest runs every test as its own process: one file per edit.
+    const std::string path = TempPath("row_" + section + "_" +
+                                      std::to_string(row) + ".psb");
+    PsbWriteOptions opts;
+    opts.compact = compact;
+    ASSERT_TRUE(SaveSummaryBinary(built.layout(), path, opts));
+    const auto unedited = SummaryArena::Map(path);
+    EXPECT_TRUE(unedited.has_value()) << unedited.status().ToString();
+    ExpectRejectedNaming(
+        MapWithF64(path, built.layout(), compact, section_id, row, value),
+        section);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SummaryArenaTest, MapRejectsSelfDensityOffItsSelfSlot) {
+  // self_density_w bitwise equals the self slot's density, or is 0.0
+  // when the row has no self slot.
+  ExpectRowEditRejected(12, kSelfRow, 0.5, "self_density_w");
+  ExpectRowEditRejected(12, kBareRow, 0.5, "self_density_w");
+}
+
+TEST(SummaryArenaTest, MapRejectsUnweightedSelfDensityOffItsSelfSlot) {
+  // self_density_uw is 1.0 iff the row has a self slot.
+  ExpectRowEditRejected(13, kSelfRow, 0.0, "self_density_uw");
+  ExpectRowEditRejected(13, kBareRow, 1.0, "self_density_uw");
+}
+
+TEST(SummaryArenaTest, MapRejectsUnweightedDegreeOffItsSlots) {
+  // member_deg_uw is the exact sum of cnt over the row's slots.
+  ExpectRowEditRejected(11, kSelfRow, 3.0, "member_deg_uw");
+  ExpectRowEditRejected(11, kBareRow, 1.0, "member_deg_uw");
+}
+
+TEST(SummaryArenaTest, MapRejectsWeightedDegreeWithoutSlots) {
+  // member_deg_w is 0.0 on a row with no slot (MapSkipsChecksums pins
+  // that it is not checked on a row with slots).
+  ExpectRowEditRejected(10, kBareRow, 1.0, "member_deg_w");
 }
 
 TEST(SummaryArenaTest, MapRejectsMissingAndTruncatedFiles) {

@@ -9,6 +9,7 @@
 #include "src/graph/bfs.h"
 #include "src/graph/generators.h"
 #include "src/query/summary_view.h"
+#include "tests/support/reference_kernels.h"
 #include "tests/test_util.h"
 
 namespace pegasus {

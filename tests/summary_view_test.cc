@@ -20,6 +20,7 @@
 #include "src/query/exact_queries.h"
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
+#include "tests/support/reference_kernels.h"
 
 namespace pegasus {
 namespace {
