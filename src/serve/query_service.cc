@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -416,6 +417,63 @@ StatusOr<std::string> QueryService::AnswerText(
       });
   if (!epoch) return epoch.status();
   return serve::JoinBatchResponse(lines, *epoch);
+}
+
+StatusOr<NodeId> QueryService::NodeCount() const {
+  const auto current = view();
+  if (!current) {
+    return Status::FailedPrecondition(
+        "no summary published; call Publish() first");
+  }
+  return current->num_nodes();
+}
+
+StatusOr<std::string> QueryService::PublishText(const std::string& path) {
+  if (path.empty()) {
+    return Status::InvalidArgument("publish needs a summary path");
+  }
+  // Text or PSB1, picked by magic — a .psb file publishes as a mapped
+  // arena view with no parse or rebuild (see LoadServingView).
+  auto next = serve::LoadServingView(path);
+  if (!next) return next.status();
+  const uint32_t supernodes = (*next)->num_supernodes();
+  const uint64_t published = Publish(*std::move(next));
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "epoch %llu published (%u supernodes)\n",
+                static_cast<unsigned long long>(published), supernodes);
+  return std::string(buf);
+}
+
+StatusOr<std::string> QueryService::EpochText() {
+  return "epoch " + std::to_string(epoch()) + "\n";
+}
+
+StatusOr<std::string> QueryService::StatsText() {
+  const CacheStats cache = cache_stats();
+  const ServingStats serving = serving_stats();
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "epoch %llu cache_hits %llu computations %llu "
+                "evictions %llu entries %zu\n",
+                static_cast<unsigned long long>(epoch()),
+                static_cast<unsigned long long>(cache.hits),
+                static_cast<unsigned long long>(cache.computations),
+                static_cast<unsigned long long>(cache.evictions),
+                cache.entries);
+  std::string out = buf;
+  std::snprintf(buf, sizeof(buf),
+                "inflight_batches %d max_inflight_batches %d "
+                "total_batches %llu\n",
+                serving.inflight_batches, serving.max_inflight_batches,
+                static_cast<unsigned long long>(serving.total_batches));
+  out += buf;
+  if (const auto memory = ReadResidentMemory()) {
+    std::snprintf(buf, sizeof(buf), "resident_kb %llu peak_resident_kb %llu\n",
+                  static_cast<unsigned long long>(memory->resident_kb),
+                  static_cast<unsigned long long>(memory->peak_resident_kb));
+    out += buf;
+  }
+  return out;
 }
 
 QueryService::ServingStats QueryService::serving_stats() const {

@@ -61,6 +61,7 @@
 #include "src/query/kernel_scratch.h"
 #include "src/query/query_engine.h"
 #include "src/query/summary_view.h"
+#include "src/serve/frontend.h"
 #include "src/util/parallel.h"
 #include "src/util/status.h"
 
@@ -178,7 +179,7 @@ class GlobalResultCache {
 
 }  // namespace serve
 
-class QueryService {
+class QueryService final : public serve::Frontend {
  public:
   struct Options {
     // Pool size, ResolveThreadCount convention clamped to the hardware
@@ -242,7 +243,18 @@ class QueryService {
   // n-sized copy; a node-level answer is ranked and dropped by the unit
   // that computed it. Same errors as Answer().
   [[nodiscard]] StatusOr<std::string> AnswerText(
-      const std::vector<QueryRequest>& requests, size_t top);
+      const std::vector<QueryRequest>& requests, size_t top) override;
+
+  // serve::Frontend, the single-node text front end. PublishText loads
+  // `path` (LoadServingView) and publishes it: "epoch <E> published (<S>
+  // supernodes)\n". EpochText is "epoch <E>\n". StatsText is the epoch,
+  // the cache counters, the in-flight batch counters and, where
+  // /proc/self/status exists, resident and peak resident memory.
+  [[nodiscard]] StatusOr<NodeId> NodeCount() const override;
+  [[nodiscard]] StatusOr<std::string> PublishText(
+      const std::string& path) override;
+  [[nodiscard]] StatusOr<std::string> EpochText() override;
+  [[nodiscard]] StatusOr<std::string> StatsText() override;
 
   // Single-request convenience; same validation, no pool dispatch (global
   // families still go through the cache).

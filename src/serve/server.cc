@@ -17,6 +17,9 @@ namespace pegasus::serve {
 
 namespace {
 
+// listen(2) backlog: pending connections the kernel queues before accept.
+constexpr int kListenBacklog = 64;
+
 Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
@@ -28,6 +31,13 @@ std::string Trimmed(const std::string& s) {
   if (begin == std::string::npos) return "";
   size_t end = s.find_last_not_of(" \t\r\n");
   return s.substr(begin, end - begin + 1);
+}
+
+// Moves an OK reply into *response.
+Status Reply(StatusOr<std::string> reply, std::string* response) {
+  if (!reply) return reply.status();
+  *response = *std::move(reply);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -48,7 +58,7 @@ Status Server::Start() {
     listen_fd_ = -1;
     return s;
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const Status s = Errno("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -170,13 +180,14 @@ Status Server::Dispatch(const Frame& frame, Connection& conn,
       *response_type = FrameType::kShardPartial;
       return HandleShardBatch(frame.body, conn, response);
     case FrameType::kPublish:
-      return HandlePublish(frame.body, response);
-    case FrameType::kStats:
-      *response = FormatServiceStats(service_) + StatsText();
-      return Status::Ok();
+      return Reply(service_.PublishText(Trimmed(frame.body)), response);
+    case FrameType::kStats: {
+      auto stats = service_.StatsText();
+      if (stats) *stats += ConnectionStatsText();
+      return Reply(std::move(stats), response);
+    }
     case FrameType::kEpoch:
-      *response = "epoch " + std::to_string(service_.epoch()) + "\n";
-      return Status::Ok();
+      return Reply(service_.EpochText(), response);
     case FrameType::kOk:
     case FrameType::kShardPartial:
     case FrameType::kError:
@@ -242,19 +253,13 @@ class Server::BatchTicket {
 
 Status Server::HandleBatch(const std::string& body, Connection& conn,
                            std::string* response) {
-  const auto view = service_.view();
-  if (!view) {
-    return Status::FailedPrecondition(
-        "no summary published; call Publish() first");
-  }
-  auto requests = ParseBatchText(body, view->num_nodes());
+  const auto nodes = service_.NodeCount();
+  if (!nodes) return nodes.status();
+  auto requests = ParseBatchText(body, *nodes);
   if (!requests) return requests.status();
   BatchTicket ticket(*this, conn, requests->size());
   if (!ticket.ok()) return ticket.status();
-  auto text = service_.AnswerText(*requests, options_.top);
-  if (!text) return text.status();
-  *response = *std::move(text);
-  return Status::Ok();
+  return Reply(service_.AnswerText(*requests, options_.top), response);
 }
 
 Status Server::HandleShardBatch(const std::string& body, Connection& conn,
@@ -266,25 +271,6 @@ Status Server::HandleShardBatch(const std::string& body, Connection& conn,
   auto batch = service_.Answer(*requests);
   if (!batch) return batch.status();
   *response = EncodeShardPartialBody(batch->epoch, batch->results);
-  return Status::Ok();
-}
-
-Status Server::HandlePublish(const std::string& body,
-                             std::string* response) {
-  const std::string path = Trimmed(body);
-  if (path.empty()) {
-    return Status::InvalidArgument("publish needs a summary path");
-  }
-  // Text or PSB1, picked by magic — a .psb file publishes as a mapped
-  // arena view with no parse or rebuild (see LoadServingView).
-  auto view = LoadServingView(path);
-  if (!view) return view.status();
-  const uint32_t supernodes = (*view)->num_supernodes();
-  const uint64_t epoch = service_.Publish(*std::move(view));
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "epoch %llu published (%u supernodes)\n",
-                static_cast<unsigned long long>(epoch), supernodes);
-  *response = buf;
   return Status::Ok();
 }
 
@@ -306,7 +292,7 @@ Server::Stats Server::stats() const {
   return stats;
 }
 
-std::string Server::StatsText() const {
+std::string Server::ConnectionStatsText() const {
   const Stats stats = this->stats();
   char buf[128];
   std::snprintf(buf, sizeof(buf),

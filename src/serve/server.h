@@ -5,10 +5,11 @@
 // connections share one QueryService, so concurrent batch frames overlap
 // on the work-stealing executor exactly like concurrent Answer() calls —
 // the server adds transport, not scheduling. Request bodies reuse the
-// `pegasus serve` text grammar (src/serve/text_serving.h) and responses
-// are byte-identical to what the stdin loop prints for the same input,
-// minus the timing line, so the stdin mode really is just a degenerate
-// client of the same service.
+// `pegasus serve` text grammar (src/serve/text_serving.h), and every reply
+// body comes from the service's serve::Frontend methods (AnswerText,
+// PublishText, EpochText, StatsText) — the same calls the stdin loop
+// (ServeTextLoop) makes — so a batch's reply is byte-identical to what the
+// stdin loop prints on stdout for it (its timing line goes to stderr).
 //
 // Malformed *requests* (bad version byte, unknown type, bad query lines)
 // get a kError frame and the connection stays open; malformed *frames*
@@ -43,7 +44,6 @@ class Server {
  public:
   struct Options {
     uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
-    int backlog = 64;
     size_t top = 10;    // answers per query line in batch responses
 
     // --- Backpressure ------------------------------------------------------
@@ -94,9 +94,10 @@ class Server {
   };
   Stats stats() const;
 
-  // The server-side lines of the `stats` directive: open/accepted
-  // connection counts plus per-connection in-flight batch counts.
-  std::string StatsText() const;
+  // The listener's lines of a kStats reply, after the service's
+  // StatsText: open/accepted connection counts plus per-connection
+  // in-flight batch counts.
+  std::string ConnectionStatsText() const;
 
  private:
   struct Connection {
@@ -119,8 +120,6 @@ class Server {
   [[nodiscard]] Status HandleShardBatch(const std::string& body,
                                         Connection& conn,
                                         std::string* response);
-  [[nodiscard]]
-  Status HandlePublish(const std::string& body, std::string* response);
   // Admission control: checks the oversized-batch and in-flight caps and,
   // on success, holds both in-flight counters until destruction.
   class BatchTicket;

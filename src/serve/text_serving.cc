@@ -4,10 +4,12 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <istream>
+#include <ostream>
 #include <sstream>
 
-#include "src/util/memory.h"
 #include "src/util/ranking.h"
+#include "src/util/timer.h"
 
 namespace pegasus::serve {
 
@@ -165,29 +167,92 @@ std::string JoinBatchResponse(const std::vector<std::string>& lines,
   return out;
 }
 
-std::string FormatServiceStats(const QueryService& service) {
-  const auto cache = service.cache_stats();
-  const auto serving = service.serving_stats();
-  std::string out;
-  AppendFormat(out,
-               "epoch %llu cache_hits %llu computations %llu "
-               "evictions %llu entries %zu\n",
-               static_cast<unsigned long long>(service.epoch()),
-               static_cast<unsigned long long>(cache.hits),
-               static_cast<unsigned long long>(cache.computations),
-               static_cast<unsigned long long>(cache.evictions),
-               cache.entries);
-  AppendFormat(out,
-               "inflight_batches %d max_inflight_batches %d "
-               "total_batches %llu\n",
-               serving.inflight_batches, serving.max_inflight_batches,
-               static_cast<unsigned long long>(serving.total_batches));
-  if (const auto memory = ReadResidentMemory()) {
-    AppendFormat(out, "resident_kb %llu peak_resident_kb %llu\n",
-                 static_cast<unsigned long long>(memory->resident_kb),
-                 static_cast<unsigned long long>(memory->peak_resident_kb));
+Status AnswerBatchText(Frontend& frontend,
+                       const std::vector<QueryRequest>& requests, size_t top,
+                       std::ostream& out, std::ostream& err) {
+  Timer timer;
+  auto body = frontend.AnswerText(requests, top);
+  if (!body) return body.status();
+  const double secs = timer.ElapsedSeconds();
+  out << *body;
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "answered %zu queries in %.3fs (%.0f qps)\n",
+                requests.size(), secs,
+                static_cast<double>(requests.size()) / std::max(secs, 1e-9));
+  err << buf;
+  return Status::Ok();
+}
+
+void ServeTextLoop(Frontend& frontend, size_t top, std::istream& in,
+                   std::ostream& out, std::ostream& err) {
+  std::vector<QueryRequest> pending;
+  size_t line_no = 0;
+  // Every rejection names the offending stdin line, like the "line <n>:"
+  // context of batch text.
+  const auto Reject = [&](const std::string& message) {
+    err << "error: stdin:" << line_no << ": " << message << "\n";
+  };
+  const auto Flush = [&] {
+    if (!pending.empty()) {
+      if (Status s = AnswerBatchText(frontend, pending, top, out, err); !s) {
+        Reject(s.ToString());
+      }
+      pending.clear();
+    }
+    out.flush();
+  };
+
+  std::string line;
+  while (std::getline(in, line)) {
+    ++line_no;
+    std::istringstream ls(line);
+    std::string first;
+    ls >> first;
+    if (first.empty()) {
+      Flush();
+      continue;
+    }
+    if (first[0] == '#') continue;
+    const bool is_publish = first == "publish";
+    if (is_publish || first == "epoch" || first == "stats") {
+      // A malformed directive is rejected before anything runs.
+      std::string path;
+      if (is_publish && !(ls >> path)) {
+        Reject("publish needs a summary path");
+        continue;
+      }
+      if (std::string extra; ls >> extra) {
+        Reject(first + ": unexpected trailing token '" + extra + "'");
+        continue;
+      }
+      Flush();
+      const auto reply = is_publish         ? frontend.PublishText(path)
+                         : first == "epoch" ? frontend.EpochText()
+                                            : frontend.StatsText();
+      if (reply) {
+        out << *reply << std::flush;
+      } else {
+        Reject(reply.status().ToString());
+      }
+      continue;
+    }
+    QueryRequest request;
+    if (Status s = ParseQueryLine(line, &request); !s) {
+      Reject(s.message() + "; directives: publish <path>, epoch, stats");
+      continue;
+    }
+    // Semantic validation per line too (node range, params), so one bad
+    // line is rejected here instead of failing the whole batch.
+    const auto nodes = frontend.NodeCount();
+    if (Status s = nodes ? CanonicalizeRequest(request, *nodes).status()
+                         : nodes.status();
+        !s) {
+      Reject(s.ToString());
+      continue;
+    }
+    pending.push_back(request);
   }
-  return out;
+  Flush();
 }
 
 }  // namespace pegasus::serve

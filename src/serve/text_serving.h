@@ -1,12 +1,13 @@
-// Text grammar shared by every serving front end.
+// Text grammar and stdin loop shared by every serving front end.
 //
-// The stdin loop of `pegasus serve`, the `--queries` batch mode, and the
-// socket server (src/serve/server.h) all speak the same line-oriented
-// query grammar — "<kind> <node> [param]" for node-level kinds,
-// "<kind> [param]" for whole-graph kinds, '#' comments, params in [0, 1).
-// This header is the single definition of that grammar's parser and of
-// the answer formatting, so a batch answered over a socket is
-// byte-identical to the same batch answered over stdin.
+// The stdin loop of `pegasus serve` (single summary or shard fleet), the
+// `--queries` batch mode, and the socket server (src/serve/server.h) all
+// speak the same line-oriented query grammar — "<kind> <node> [param]" for
+// node-level kinds, "<kind> [param]" for whole-graph kinds, '#' comments,
+// params in [0, 1). This header is the single definition of that
+// grammar's parser, of the answer formatting, and of the one stdin loop
+// (ServeTextLoop, over a serve::Frontend), so a batch answered over stdin
+// prints exactly the body a socket batch frame gets back.
 //
 // Ranking order. Every ranked line lists ids in one total order
 // (src/util/ranking.h): score descending, then id ascending; for hop,
@@ -29,10 +30,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "src/query/query_engine.h"
+#include "src/serve/frontend.h"
 #include "src/serve/query_service.h"
 #include "src/util/status.h"
 
@@ -77,11 +80,23 @@ std::string FormatBatchResponse(const std::vector<QueryRequest>& requests,
 std::string JoinBatchResponse(const std::vector<std::string>& lines,
                               uint64_t epoch);
 
-// The `stats` directive body shared by stdin and socket serving: epoch,
-// global-result cache counters, the in-flight batch counters that make
-// concurrent-batch overlap observable, and — where /proc/self/status
-// exists — the process's resident and peak resident memory.
-std::string FormatServiceStats(const QueryService& service);
+// Writes frontend.AnswerText(requests, top) to `out` and "answered <N>
+// queries in <X>s (<Y> qps)" to `err`; the frontend's error otherwise.
+[[nodiscard]] Status AnswerBatchText(Frontend& frontend,
+                                     const std::vector<QueryRequest>& requests,
+                                     size_t top, std::ostream& out,
+                                     std::ostream& err);
+
+// The stdin loop of `pegasus serve`, for a node and for a fleet alike,
+// until EOF. A query line, validated against frontend.NodeCount(), joins
+// the pending batch; a blank line or EOF answers it (AnswerBatchText);
+// `publish <path>`, `epoch` and `stats` answer it and then write the
+// frontend's reply; '#' lines are comments. Every rejection goes to `err`
+// as "error: stdin:<n>: <message>" and the loop keeps serving; a
+// malformed directive leaves the pending batch untouched. `out` is
+// flushed after every reply, since a co-process on a pipe waits for it.
+void ServeTextLoop(Frontend& frontend, size_t top, std::istream& in,
+                   std::ostream& out, std::ostream& err);
 
 }  // namespace pegasus::serve
 

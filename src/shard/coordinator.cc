@@ -1,8 +1,6 @@
 #include "src/shard/coordinator.h"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include <unistd.h>
 
 #include "src/serve/query_service.h"
+#include "src/serve/text_serving.h"
 #include "src/serve/wire.h"
 
 namespace pegasus::shard {
@@ -176,6 +175,26 @@ StatusOr<Coordinator::BatchResult> Coordinator::Answer(
   for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
     if (!statuses[s]) return statuses[s];
   }
+  // One fleet epoch per answer: merging partials of two epochs would mix
+  // two summaries in one reply.
+  bool mixed = false;
+  for (uint64_t epoch : out.shard_epochs) {
+    if (epoch == 0) continue;
+    mixed |= out.epoch != 0 && epoch != out.epoch;
+    out.epoch = epoch;
+  }
+  if (mixed) {
+    std::string touched;
+    for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
+      if (out.shard_epochs[s] == 0) continue;
+      touched += (touched.empty() ? "shard " : ", shard ") +
+                 std::to_string(s) + " epoch " +
+                 std::to_string(out.shard_epochs[s]);
+    }
+    return Status::FailedPrecondition(
+        "shards answered from different epochs (" + touched +
+        "); resend once every worker has published");
+  }
 
   // Merge. Node-local answers come back verbatim from the owning shard;
   // scored answers take score[v] from the shard owning v.
@@ -213,45 +232,49 @@ StatusOr<Coordinator::BatchResult> Coordinator::Answer(
   return out;
 }
 
-StatusOr<std::string> Coordinator::GatherStats() {
-  std::string out;
+StatusOr<NodeId> Coordinator::NodeCount() const {
+  return manifest_.num_nodes;
+}
+
+StatusOr<std::string> Coordinator::AnswerText(
+    const std::vector<QueryRequest>& requests, size_t top) {
+  auto batch = Answer(requests);
+  if (!batch) return batch.status();
+  return serve::FormatBatchResponse(
+      requests, {batch->epoch, std::move(batch->results)}, top);
+}
+
+StatusOr<std::string> Coordinator::PublishText(const std::string& /*path*/) {
+  return Status::FailedPrecondition(
+      "a fleet publishes per worker; publish to each shard worker's socket");
+}
+
+StatusOr<std::string> Coordinator::EpochText() {
+  return Gather(FrameType::kEpoch, " ");
+}
+
+StatusOr<std::string> Coordinator::StatsText() {
+  return Gather(FrameType::kStats, "\n");
+}
+
+StatusOr<std::string> Coordinator::Gather(FrameType type,
+                                          const char* separator) {
   for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
-    if (Status w = serve::WriteFrame(fds_[s], FrameType::kStats, ""); !w) {
+    if (Status w = serve::WriteFrame(fds_[s], type, ""); !w) {
       return ShardError(s, w);
     }
   }
+  std::string out;
   for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
     auto frame = serve::ReadFrame(fds_[s]);
     if (!frame) return ShardError(s, frame.status());
     if (frame->type != FrameType::kOk) {
       return Status::Internal("shard " + std::to_string(s) +
-                              " stats request failed: " + frame->body);
+                              " directive failed: " + frame->body);
     }
-    out += "shard " + std::to_string(s) + "\n" + frame->body;
+    out += "shard " + std::to_string(s) + separator + frame->body;
   }
   return out;
-}
-
-StatusOr<std::vector<uint64_t>> Coordinator::GatherEpochs() {
-  for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
-    if (Status w = serve::WriteFrame(fds_[s], FrameType::kEpoch, ""); !w) {
-      return ShardError(s, w);
-    }
-  }
-  std::vector<uint64_t> epochs(manifest_.num_shards, 0);
-  for (uint32_t s = 0; s < manifest_.num_shards; ++s) {
-    auto frame = serve::ReadFrame(fds_[s]);
-    if (!frame) return ShardError(s, frame.status());
-    // Body is the kEpoch response "epoch <N>\n".
-    uint64_t epoch = 0;
-    if (frame->type != FrameType::kOk ||
-        std::sscanf(frame->body.c_str(), "epoch %" SCNu64, &epoch) != 1) {
-      return Status::Internal("shard " + std::to_string(s) +
-                              " epoch request failed: " + frame->body);
-    }
-    epochs[s] = epoch;
-  }
-  return epochs;
 }
 
 }  // namespace pegasus::shard

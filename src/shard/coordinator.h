@@ -27,6 +27,10 @@
 // every merge degenerates to "copy shard 0's answer", so the coordinator
 // is byte-identical to querying the single worker directly (pinned by
 // tests/coordinator_test.cc against the repo's query goldens).
+//
+// One fleet epoch per answer: workers publish independently, so Answer
+// rejects a batch whose touched shards answered from different epochs
+// (no retry) rather than merge two summaries into one reply.
 
 #ifndef PEGASUS_SHARD_COORDINATOR_H_
 #define PEGASUS_SHARD_COORDINATOR_H_
@@ -37,14 +41,16 @@
 #include <vector>
 
 #include "src/query/query_engine.h"
+#include "src/serve/frontend.h"
 #include "src/serve/shard_codec.h"
+#include "src/serve/wire.h"
 #include "src/shard/manifest.h"
 #include "src/util/parallel.h"
 #include "src/util/status.h"
 
 namespace pegasus::shard {
 
-class Coordinator {
+class Coordinator final : public serve::Frontend {
  public:
   // Connects one socket per shard: ports[i] must be a loopback worker
   // serving shard i of `manifest` (ports.size() == num_shards). Errors:
@@ -53,7 +59,7 @@ class Coordinator {
   [[nodiscard]] static StatusOr<std::unique_ptr<Coordinator>> Connect(
       ShardManifest manifest, const std::vector<uint16_t>& ports);
 
-  ~Coordinator();
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -62,22 +68,33 @@ class Coordinator {
     // Epoch each shard answered from; 0 for shards the batch never
     // touched.
     std::vector<uint64_t> shard_epochs;
+    // The one epoch every touched shard answered from (0 for an empty
+    // batch).
+    uint64_t epoch = 0;
     std::vector<QueryResult> results;  // results[i] answers requests[i]
   };
 
   // Scatters `requests` per the routing above and merges the partials.
   // Errors: kInvalidArgument / kOutOfRange from canonicalization (the
   // message names the request index), kDataLoss / kInternal when a
-  // worker connection fails or a worker reports an error.
+  // worker connection fails or a worker reports an error,
+  // kFailedPrecondition when the touched shards answered from different
+  // epochs (the message lists "shard <s> epoch <e>" for each of them).
   [[nodiscard]] StatusOr<BatchResult> Answer(
       const std::vector<QueryRequest>& requests);
 
-  // The `stats` directive, fleet-wide: every worker's stats block in
-  // ascending shard order, each introduced by a "shard <i>" line.
-  [[nodiscard]] StatusOr<std::string> GatherStats();
-
-  // Every worker's current epoch, ascending shard order (kEpoch frames).
-  [[nodiscard]] StatusOr<std::vector<uint64_t>> GatherEpochs();
+  // serve::Frontend. AnswerText is Answer as the socket batch reply
+  // (FormatBatchResponse) naming the one fleet epoch; EpochText is one
+  // "shard <s> epoch <e>" line per worker; StatsText is every worker's
+  // stats block, each after a "shard <s>" line; PublishText is always
+  // kFailedPrecondition. Shards answer in ascending order.
+  [[nodiscard]] StatusOr<NodeId> NodeCount() const override;
+  [[nodiscard]] StatusOr<std::string> AnswerText(
+      const std::vector<QueryRequest>& requests, size_t top) override;
+  [[nodiscard]] StatusOr<std::string> PublishText(
+      const std::string& path) override;
+  [[nodiscard]] StatusOr<std::string> EpochText() override;
+  [[nodiscard]] StatusOr<std::string> StatsText() override;
 
   uint32_t num_shards() const { return manifest_.num_shards; }
   const ShardManifest& manifest() const { return manifest_; }
@@ -94,6 +111,10 @@ class Coordinator {
   [[nodiscard]] Status SendBatch(uint32_t s,
                                  const std::vector<QueryRequest>& requests);
   [[nodiscard]] StatusOr<serve::ShardPartial> ReadPartial(uint32_t s);
+  // Sends an empty `type` frame to every worker, then joins the replies
+  // in shard order, each as "shard <s>" + separator + body.
+  [[nodiscard]] StatusOr<std::string> Gather(serve::FrameType type,
+                                             const char* separator);
 
   ShardManifest manifest_;
   std::vector<int> fds_;  // one connected socket per shard

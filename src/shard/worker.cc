@@ -4,22 +4,12 @@
 
 namespace pegasus::shard {
 
-namespace {
-
-serve::Server::Options ServerOptions(const ShardWorker::Options& options) {
-  serve::Server::Options server = options.server;
-  server.port = options.port;
-  return server;
-}
-
-}  // namespace
-
 ShardWorker::ShardWorker(ShardManifest manifest, uint32_t shard_index,
                          const Options& options)
     : manifest_(std::move(manifest)),
       shard_index_(shard_index),
       service_(options.service),
-      server_(service_, ServerOptions(options)) {}
+      server_(service_, {.port = options.port}) {}
 
 StatusOr<std::unique_ptr<ShardWorker>> ShardWorker::Start(
     const std::string& manifest_path, uint32_t shard_index,
@@ -33,10 +23,8 @@ StatusOr<std::unique_ptr<ShardWorker>> ShardWorker::Start(
         " shards");
   }
   const std::string dir = ManifestDir(manifest_path);
-  if (options.verify_checksum) {
-    if (Status s = VerifyShardChecksum(*manifest, dir, shard_index); !s) {
-      return s;
-    }
+  if (Status s = VerifyShardChecksum(*manifest, dir, shard_index); !s) {
+    return s;
   }
   const std::string psb_path = ShardPsbPath(*manifest, dir, shard_index);
   auto view = serve::LoadServingView(psb_path);

@@ -9,6 +9,9 @@
 // this class; the coordinator's in-process mode embeds N of them in one
 // process, which is byte-for-byte indistinguishable from N processes
 // because all communication stays on the wire.
+//
+// Epochs are per worker (a kPublish frame on its own socket); the
+// coordinator refuses to merge shards of different epochs.
 
 #ifndef PEGASUS_SHARD_WORKER_H_
 #define PEGASUS_SHARD_WORKER_H_
@@ -29,15 +32,12 @@ class ShardWorker {
   struct Options {
     uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
     QueryService::Options service;  // threads / cache for this shard
-    serve::Server::Options server;  // backpressure caps etc. (port is
-                                    // taken from `port` above)
-    // Recompute the shard PSB's whole-file checksum against the manifest
-    // before serving (kDataLoss on mismatch). Costs one sequential read.
-    bool verify_checksum = true;
   };
 
-  // Loads the manifest, verifies + mmaps shard `shard_index`'s PSB,
-  // publishes it at epoch 1, and starts the socket server. Errors:
+  // Loads the manifest, verifies shard `shard_index`'s PSB against the
+  // manifest's whole-file checksum (one sequential read), mmaps it,
+  // publishes it at epoch 1, and starts the socket server with the
+  // default Server::Options on `port`. Errors:
   // kNotFound / kDataLoss from the manifest and PSB loaders, kOutOfRange
   // for a bad shard index, kInternal for socket failures.
   [[nodiscard]] static StatusOr<std::unique_ptr<ShardWorker>> Start(

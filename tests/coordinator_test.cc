@@ -11,6 +11,8 @@
 //     recomputation: owner's bytes for node-local families, ownership-
 //     stitched scores for scored families.
 //   * Routing — node-local requests touch only the owning shard.
+//   * One fleet epoch — a batch whose shards answered from different
+//     epochs is rejected, naming each shard's epoch.
 
 #include <gtest/gtest.h>
 
@@ -39,38 +41,12 @@ namespace {
 using ::pegasus::testing::HashQueryResult;
 using ::pegasus::testing::QueryGoldenCases;
 using ::pegasus::testing::QueryGoldenGraph;
-using ::pegasus::testing::QueryGoldenSummary;
+using ::pegasus::testing::WriteGoldenSingleShard;
 
 std::vector<QueryRequest> GoldenBatch() {
   std::vector<QueryRequest> requests;
   for (const auto& c : QueryGoldenCases()) requests.push_back(c.request);
   return requests;
-}
-
-// Writes the query-golden summary as a 1-shard manifest + PSB, so the
-// coordinator serves exactly the summary the golden hashes were pinned
-// against. Built by hand (not ShardBuild) because the golden fixture
-// uses its own summarizer seed.
-std::string WriteGoldenSingleShard(const std::string& dir_name) {
-  const std::string dir = ::testing::TempDir() + "/" + dir_name;
-  ::mkdir(dir.c_str(), 0755);
-  const Graph graph = QueryGoldenGraph();
-  const SummaryGraph summary = QueryGoldenSummary(graph);
-  const std::string psb = dir + "/shard_000.psb";
-  SummaryView view(summary);
-  if (!SaveSummaryBinary(view.layout(), psb, {})) return "";
-  auto checksum = ChecksumFile(psb);
-  if (!checksum) return "";
-
-  ShardManifest manifest;
-  manifest.num_shards = 1;
-  manifest.num_nodes = graph.num_nodes();
-  manifest.partitioner = "random";
-  manifest.shards = {{"shard_000.psb", *checksum}};
-  manifest.node_shard.assign(graph.num_nodes(), 0);
-  const std::string path = dir + "/" + kManifestFileName;
-  if (!SaveManifest(manifest, path)) return "";
-  return path;
 }
 
 // One in-process worker fleet + coordinator over a manifest on disk.
@@ -268,16 +244,69 @@ TEST(CoordinatorTest, GathersEpochsAndPerShardStats) {
   auto fleet = StartFleet(manifest_path, {1});
   ASSERT_TRUE(fleet) << fleet.status().ToString();
 
-  auto epochs = fleet->coordinator->GatherEpochs();
+  auto epochs = fleet->coordinator->EpochText();
   ASSERT_TRUE(epochs) << epochs.status().ToString();
-  ASSERT_EQ(epochs->size(), 3u);
-  for (uint64_t e : *epochs) EXPECT_EQ(e, 1u);  // workers publish once
+  // Workers publish once.
+  EXPECT_EQ(*epochs, "shard 0 epoch 1\nshard 1 epoch 1\nshard 2 epoch 1\n");
 
-  auto stats = fleet->coordinator->GatherStats();
+  auto stats = fleet->coordinator->StatsText();
   ASSERT_TRUE(stats) << stats.status().ToString();
-  EXPECT_NE(stats->find("shard 0\n"), std::string::npos);
-  EXPECT_NE(stats->find("shard 1\n"), std::string::npos);
-  EXPECT_NE(stats->find("shard 2\n"), std::string::npos);
+  EXPECT_NE(stats->find("shard 0\nepoch 1 "), std::string::npos);
+  EXPECT_NE(stats->find("shard 1\nepoch 1 "), std::string::npos);
+  EXPECT_NE(stats->find("shard 2\nepoch 1 "), std::string::npos);
+}
+
+TEST(CoordinatorTest, RejectsBatchesAcrossMixedEpochs) {
+  const std::string dir = ::testing::TempDir() + "/coord_two_" +
+                          std::to_string(::getpid());
+  ShardBuildOptions options;
+  options.num_shards = 2;
+  options.partitioner = PartitionerKind::kRandom;
+  options.ratio = 0.4;
+  options.config.seed = 7;
+  auto built = ShardBuild(QueryGoldenGraph(), dir, options);
+  ASSERT_TRUE(built) << built.status().ToString();
+  auto fleet = StartFleet(built->manifest_path, {1});
+  ASSERT_TRUE(fleet) << fleet.status().ToString();
+  Coordinator& coordinator = *fleet->coordinator;
+
+  const auto republish = [&](uint32_t s) {
+    QueryService& service = fleet->workers[s]->service();
+    return service.Publish(service.view());
+  };
+  ASSERT_EQ(republish(1), 2u);
+
+  QueryRequest rwr;
+  rwr.kind = QueryKind::kRwr;
+  rwr.node = 3;
+  auto mixed = coordinator.Answer({rwr});
+  ASSERT_FALSE(mixed);
+  EXPECT_EQ(mixed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(mixed.status().message().find("shard 0 epoch 1"),
+            std::string::npos)
+      << mixed.status().ToString();
+  EXPECT_NE(mixed.status().message().find("shard 1 epoch 2"),
+            std::string::npos)
+      << mixed.status().ToString();
+  EXPECT_FALSE(coordinator.AnswerText({rwr}, 10));
+
+  NodeId owned_by_0 = 0;
+  while (built->manifest.ShardOf(owned_by_0) != 0) ++owned_by_0;
+  QueryRequest neighbors;
+  neighbors.kind = QueryKind::kNeighbors;
+  neighbors.node = owned_by_0;
+  auto local = coordinator.Answer({neighbors});
+  ASSERT_TRUE(local) << local.status().ToString();
+  EXPECT_EQ(local->epoch, 1u);
+
+  ASSERT_EQ(republish(0), 2u);
+  auto converged = coordinator.Answer({rwr});
+  ASSERT_TRUE(converged) << converged.status().ToString();
+  EXPECT_EQ(converged->epoch, 2u);
+  EXPECT_EQ(converged->shard_epochs, (std::vector<uint64_t>{2, 2}));
+  auto text = coordinator.AnswerText({rwr}, 10);
+  ASSERT_TRUE(text) << text.status().ToString();
+  EXPECT_TRUE(text->ends_with("\nepoch 2\n")) << *text;
 }
 
 TEST(CoordinatorTest, RejectsBadConfigurations) {

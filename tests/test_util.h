@@ -3,6 +3,8 @@
 #ifndef PEGASUS_TESTS_TEST_UTIL_H_
 #define PEGASUS_TESTS_TEST_UTIL_H_
 
+#include <sys/stat.h>
+
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -10,11 +12,16 @@
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "src/core/binary_summary_io.h"
 #include "src/core/pegasus.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_builder.h"
 #include "src/query/query_engine.h"
+#include "src/query/summary_view.h"
+#include "src/shard/manifest.h"
 
 namespace pegasus::testing {
 
@@ -154,6 +161,32 @@ inline std::vector<ReplyGoldenBatch> ReplyGoldenBatches() {
        "php 33 0.8\n",
        0x92bf599ab3b21d01ULL},
   };
+}
+
+// Writes QueryGoldenSummary as a 1-shard manifest + PSB under
+// ::testing::TempDir()/<dir_name> and returns the manifest path ("" on
+// failure), so a fleet serves exactly the summary the goldens above were
+// pinned against. Built by hand (not ShardBuild) because the golden
+// fixture uses its own summarizer seed.
+inline std::string WriteGoldenSingleShard(const std::string& dir_name) {
+  const std::string dir = ::testing::TempDir() + "/" + dir_name;
+  ::mkdir(dir.c_str(), 0755);
+  const Graph graph = QueryGoldenGraph();
+  const SummaryView view(QueryGoldenSummary(graph));
+  const std::string psb = dir + "/shard_000.psb";
+  if (!SaveSummaryBinary(view.layout(), psb, {})) return "";
+  auto checksum = shard::ChecksumFile(psb);
+  if (!checksum) return "";
+
+  shard::ShardManifest manifest;
+  manifest.num_shards = 1;
+  manifest.num_nodes = graph.num_nodes();
+  manifest.partitioner = "random";
+  manifest.shards = {{"shard_000.psb", *checksum}};
+  manifest.node_shard.assign(graph.num_nodes(), 0);
+  const std::string path = dir + "/" + shard::kManifestFileName;
+  if (!shard::SaveManifest(manifest, path)) return "";
+  return path;
 }
 
 // A path graph 0-1-2-...-(n-1).

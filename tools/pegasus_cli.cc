@@ -1,24 +1,7 @@
 // pegasus — command-line interface to the library.
 //
-//   pegasus stats      <edgelist>
-//   pegasus generate   <kind> <out.txt> [--nodes N] [--seed S]
-//   pegasus summarize  <edgelist> <out.summary> [--ratio R] [--alpha A]
-//                      [--beta B] [--tmax T] [--seed S] [--targets a,b,c]
-//                      [--threads N]   (1 = serial, 0 = all cores)
-//   pegasus query      <summary> <kind> <node> [--top K]
-//   pegasus query      <summary> --queries <file> [--threads N] [--top K]
-//   pegasus serve      <summary> [--threads N] [--top K] [--port P]
-//   pegasus evaluate   <edgelist> <summary> [--alpha A] [--targets a,b,c]
-//   pegasus view       <file.psb> [--validate]
-//   pegasus convert    <in> <out> [--compact]
-//   pegasus shard-build  <edgelist> <outdir> [--shards N]
-//                      [--partitioner P] [--ratio R] [--alpha A] [--beta B]
-//                      [--tmax T] [--seed S] [--threads N] [--compact]
-//   pegasus shard-worker <manifest> <index> [--port P] [--threads N]
-//   pegasus serve      --shards <manifest> [--workers p1,p2,...]
-//                      [--threads N] [--top K]
-//
-// `generate` kinds: ba, ws, er, grid, community-ring.
+// Usage() below lists every command and flag (`pegasus` alone prints
+// it). `summarize --threads`: 1 = serial engine, 0 = all cores.
 //
 // Summary arguments accept either format — the line-based text format or
 // the PSB1 binary container (docs/FORMAT.md) — dispatched by the file's
@@ -34,49 +17,36 @@
 // argument is ignored). Query lines read "<kind> <node> [param]" for
 // node-level kinds, "<kind> [param]" for whole-graph kinds, params in
 // [0, 1), '#' comments. Both query modes run through a process-resident
-// QueryService (src/serve/query_service.h): one loaded summary, one
-// epoch-swapped view, global results cached per epoch.
+// QueryService (src/serve/query_service.h); `--queries` prints exactly
+// the socket reply body for the file's batch.
 //
-// `serve` answers line-delimited query batches over stdin/stdout from one
-// loaded summary: query lines accumulate, a blank line (or EOF) flushes
-// the pending batch through the service, and the directives
-//   publish <summary-path>   swap in a new summary (epoch bump, no stall)
-//   epoch                    print the current epoch
-//   stats                    print cache hits/computations/evictions
-// manage the resident service. Malformed lines — unknown kinds, bad
-// parameters, AND malformed directives (missing/trailing tokens) — are
-// rejected on stderr with "stdin:<line>:" context, like batch-file
-// errors, without killing the server.
-//
-// With --port P, `serve` additionally listens on 127.0.0.1:P (0 picks an
-// ephemeral port, reported on stdout as "listening on 127.0.0.1:<port>")
-// speaking the length-prefixed framing of src/serve/wire.h; socket
-// clients and the stdin loop share one QueryService, so publishes from
-// either side are visible to both and concurrent batches overlap on the
-// executor. stdin EOF stops the listener and exits.
-//
-// Sharded serving (src/shard): `shard-build` partitions the graph,
-// summarizes every shard with the parallel engine, and writes one PSB1
-// file per shard plus manifest.psm; `shard-worker` serves one shard of a
-// manifest over a loopback socket (checksum-verified, mmap-served);
-// `serve --shards <manifest>` runs the scatter-gather coordinator over
-// the fleet — against `--workers p1,p2,...` (one port per shard, in
-// shard order) or, without --workers, against in-process workers it
-// starts itself. The coordinator's stdin loop speaks the same query
-// grammar as single-view serve; its `stats` directive gathers every
-// worker's stats block.
+// `serve` runs the one stdin loop of src/serve/text_serving.h
+// (ServeTextLoop: query lines accumulate, a blank line or EOF answers
+// them, directives `publish <path>`, `epoch`, `stats`, rejections on
+// stderr with "stdin:<line>:" context) over a serve::Frontend: the
+// QueryService of one summary, or with `--shards <manifest>` the
+// scatter-gather Coordinator over a fleet, against `--workers p1,p2,...`
+// (one port per shard, in shard order) or in-process workers it starts.
+// Each batch's stdout is the socket reply body; its timing line goes to
+// stderr. With --port P, single-summary `serve` also listens on
+// 127.0.0.1:P (0 = ephemeral, reported as "listening on
+// 127.0.0.1:<port>") speaking src/serve/wire.h on the same service;
+// stdin EOF stops the listener and exits. `shard-build` writes one PSB1
+// file per shard plus manifest.psm; `shard-worker` serves one shard over
+// a loopback socket (checksum-verified, mmap-served) until stdin EOF.
+// Integer arguments (--targets, --workers, a shard index, a query node)
+// are strict: a malformed or out-of-range entry is a usage error.
 // Exit code 0 on success, 1 on usage errors, 2 on I/O errors.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <numeric>
-#include <sstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,7 +71,6 @@
 #include "src/shard/shard_build.h"
 #include "src/shard/worker.h"
 #include "src/util/status.h"
-#include "src/util/timer.h"
 
 namespace pegasus::cli {
 namespace {
@@ -148,17 +117,38 @@ Args ParseArgs(int argc, char** argv) {
   return args;
 }
 
-std::vector<NodeId> ParseTargets(const std::string& csv) {
-  std::vector<NodeId> out;
+// `text` as a decimal integer in [0, max] (no sign, spaces or trailing
+// characters), or a usage error on stderr naming `what` and the entry.
+std::optional<uint64_t> UintArg(const char* what, const std::string& text,
+                                uint64_t max) {
+  uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end || value > max) {
+    std::fprintf(stderr, "error: %s: bad entry '%s' (want an integer in "
+                 "[0, %llu])\n", what, text.c_str(),
+                 static_cast<unsigned long long>(max));
+    return std::nullopt;
+  }
+  return value;
+}
+
+// A comma-separated list of UintArg integers; the first malformed, empty
+// or out-of-range entry is a usage error naming it.
+template <typename T>
+std::optional<std::vector<T>> UintListArg(const char* what,
+                                          const std::string& csv) {
+  std::vector<T> out;
   size_t begin = 0;
-  while (begin < csv.size()) {
-    size_t end = csv.find(',', begin);
-    if (end == std::string::npos) end = csv.size();
-    out.push_back(static_cast<NodeId>(
-        std::strtoul(csv.substr(begin, end - begin).c_str(), nullptr, 10)));
+  for (;;) {
+    const size_t end = std::min(csv.find(',', begin), csv.size());
+    const auto value = UintArg(what, csv.substr(begin, end - begin),
+                               std::numeric_limits<T>::max());
+    if (!value) return std::nullopt;
+    out.push_back(static_cast<T>(*value));
+    if (end == csv.size()) return out;
     begin = end + 1;
   }
-  return out;
 }
 
 int Usage() {
@@ -288,7 +278,11 @@ int CmdSummarize(const Args& args) {
   config.num_threads = static_cast<int>(args.FlagInt("threads", 1));
   const double ratio = args.FlagDouble("ratio", 0.5);
   std::vector<NodeId> targets;
-  if (auto t = args.Flag("targets")) targets = ParseTargets(*t);
+  if (auto t = args.Flag("targets")) {
+    auto parsed = UintListArg<NodeId>("--targets", *t);
+    if (!parsed) return 1;
+    targets = *std::move(parsed);
+  }
 
   // Flags are untrusted input: surface the typed validation error
   // (bad ratio/alpha/beta/tmax/threads/targets) instead of dereferencing.
@@ -313,38 +307,8 @@ int CmdSummarize(const Args& args) {
   return 0;
 }
 
-// Prints a one-line answer for one query through the shared serving
-// formatter (src/serve/text_serving.h) — socket responses and this CLI
-// produce identical bytes for identical answers.
-void PrintAnswer(const QueryRequest& request, const QueryResult& result,
-                 size_t top) {
-  std::fputs(serve::FormatAnswer(request, result, top).c_str(), stdout);
-}
-
-// Answers `requests` through the resident service and prints one line per
-// answer (in request order) plus a timing summary.
-int AnswerAndPrint(QueryService& service,
-                   const std::vector<QueryRequest>& requests, size_t top) {
-  Timer timer;
-  const auto batch = service.Answer(requests);
-  if (!batch) {
-    std::fprintf(stderr, "error: %s\n", batch.status().ToString().c_str());
-    return 1;
-  }
-  const double secs = timer.ElapsedSeconds();
-  for (size_t i = 0; i < requests.size(); ++i) {
-    PrintAnswer(requests[i], batch->results[i], top);
-  }
-  std::printf("answered %zu queries in %.3fs (%.0f qps, %d threads, "
-              "epoch %llu)\n",
-              requests.size(), secs,
-              static_cast<double>(requests.size()) / std::max(secs, 1e-9),
-              service.num_workers(),
-              static_cast<unsigned long long>(batch->epoch));
-  return 0;
-}
-
-// Batch mode: one query per line, answered through the service.
+// Batch mode: the whole file is one batch, answered through the service;
+// stdout is exactly the socket reply body for the same text.
 int RunQueryBatch(QueryService& service, const std::string& queries_path,
                   size_t top) {
   std::ifstream in(queries_path);
@@ -352,34 +316,22 @@ int RunQueryBatch(QueryService& service, const std::string& queries_path,
     std::fprintf(stderr, "error: cannot load %s\n", queries_path.c_str());
     return 2;
   }
-  std::vector<QueryRequest> requests;
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // Blank lines and comments (leading whitespace allowed) are skipped.
-    std::istringstream probe(line);
-    std::string first;
-    probe >> first;
-    if (first.empty() || first[0] == '#') continue;
-    QueryRequest request;
-    if (Status s = serve::ParseQueryLine(line, &request); !s) {
-      std::fprintf(stderr, "error: %s:%zu: %s\n", queries_path.c_str(),
-                   line_no, s.message().c_str());
-      return 1;
-    }
-    // Semantic validation here too, so an error names the file and line
-    // instead of a batch index that skips comments and blanks.
-    if (auto canon =
-            CanonicalizeRequest(request, service.view()->num_nodes());
-        !canon) {
-      std::fprintf(stderr, "error: %s:%zu: %s\n", queries_path.c_str(),
-                   line_no, canon.status().ToString().c_str());
-      return 1;
-    }
-    requests.push_back(request);
+  std::stringstream text;
+  text << in.rdbuf();
+  auto requests =
+      serve::ParseBatchText(text.str(), service.view()->num_nodes());
+  if (!requests) {
+    std::fprintf(stderr, "error: %s: %s\n", queries_path.c_str(),
+                 requests.status().ToString().c_str());
+    return 1;
   }
-  return AnswerAndPrint(service, requests, top);
+  if (Status s = serve::AnswerBatchText(service, *requests, top, std::cout,
+                                        std::cerr);
+      !s) {
+    std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  return 0;
 }
 
 int CmdQuery(const Args& args) {
@@ -414,19 +366,22 @@ int CmdQuery(const Args& args) {
   QueryRequest request;
   request.kind = *kind;
   if (IsNodeQuery(*kind)) {
-    request.node = static_cast<NodeId>(
-        std::strtoul(args.positional[2].c_str(), nullptr, 10));
+    const auto node = UintArg("node", args.positional[2],
+                              std::numeric_limits<NodeId>::max());
+    if (!node) return 1;
+    request.node = static_cast<NodeId>(*node);
   }
   const auto result = service.AnswerOne(request);
   if (!result) {
     std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
     return 1;
   }
-  PrintAnswer(request, *result, top);
+  std::fputs(serve::FormatAnswer(request, *result, top).c_str(), stdout);
   return 0;
 }
 
-// Resident serving loop: line-delimited query batches over stdin/stdout.
+// Resident serving: the shared stdin loop (serve::ServeTextLoop) over one
+// summary, plus the socket front end with --port.
 int CmdServe(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   // Text or PSB1, by magic; a .psb summary mmaps in with no parse, so
@@ -447,18 +402,18 @@ int CmdServe(const Args& args) {
               service.num_workers());
 
   // --port mounts the socket front end on the same service; the stdin
-  // loop below keeps running as a local client, and its EOF is what
-  // stops the listener.
+  // loop keeps running as a local client, and its EOF is what stops the
+  // listener. The listener's connection lines are on its own `stats`
+  // reply (kStats), not on stdin's.
   std::optional<serve::Server> server;
   if (const int64_t port = args.FlagInt("port", -1); port >= 0) {
     if (port > 65535) {
       std::fprintf(stderr, "error: --port must be in [0, 65535]\n");
       return 1;
     }
-    serve::Server::Options server_options;
-    server_options.port = static_cast<uint16_t>(port);
-    server_options.top = top;
-    server.emplace(service, server_options);
+    server.emplace(service, serve::Server::Options{
+                                .port = static_cast<uint16_t>(port),
+                                .top = top});
     if (Status s = server->Start(); !s) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 2;
@@ -467,105 +422,8 @@ int CmdServe(const Args& args) {
     // ephemeral port (see tools/serve_smoke.py).
     std::printf("listening on 127.0.0.1:%u\n", server->port());
   }
-
   std::fflush(stdout);
-  const auto view_nodes = [&] { return service.view()->num_nodes(); };
-
-  std::vector<QueryRequest> pending;
-  // Answers go to a co-process over a (fully buffered) pipe as often as
-  // to a terminal, so every batch and directive response is flushed —
-  // otherwise the client deadlocks waiting for output stdio is holding.
-  const auto Flush = [&] {
-    if (!pending.empty()) {
-      AnswerAndPrint(service, pending, top);
-      pending.clear();
-    }
-    std::fflush(stdout);
-  };
-
-  std::string line;
-  size_t line_no = 0;
-  // Every rejection names the offending stdin line, mirroring the
-  // "file:line:" context batch files get — a scripted client can log
-  // "stdin:17: ..." and know exactly which directive it mis-sent.
-  const auto Reject = [&line_no](const std::string& message) {
-    std::fprintf(stderr, "error: stdin:%zu: %s\n", line_no, message.c_str());
-  };
-  while (std::getline(std::cin, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string first;
-    ls >> first;
-    // A directive with trailing tokens is malformed, never silently
-    // half-applied.
-    const auto NoTrailing = [&](const char* directive) {
-      std::string extra;
-      if (ls >> extra) {
-        Reject(std::string(directive) + ": unexpected trailing token '" +
-               extra + "'");
-        return false;
-      }
-      return true;
-    };
-    if (first.empty()) {
-      Flush();
-    } else if (first[0] == '#') {
-      continue;
-    } else if (first == "publish") {
-      // Validate fully (and load the summary) BEFORE flushing: a
-      // rejected directive must leave server state — including the
-      // pending batch — untouched, like the epoch/stats branches.
-      std::string path;
-      if (!(ls >> path)) {
-        Reject("publish needs a summary path");
-        continue;
-      }
-      if (!NoTrailing("publish")) continue;
-      auto next = serve::LoadServingView(path);
-      if (!next) {
-        Reject(next.status().ToString());
-        continue;
-      }
-      // Queries buffered before the swap are answered against the epoch
-      // that was live when they were issued.
-      Flush();
-      const uint32_t supernodes = (*next)->num_supernodes();
-      const uint64_t epoch = service.Publish(*std::move(next));
-      std::printf("epoch %llu published (%u supernodes)\n",
-                  static_cast<unsigned long long>(epoch), supernodes);
-      std::fflush(stdout);
-    } else if (first == "epoch") {
-      if (!NoTrailing("epoch")) continue;
-      Flush();
-      std::printf("epoch %llu\n",
-                  static_cast<unsigned long long>(service.epoch()));
-      std::fflush(stdout);
-    } else if (first == "stats") {
-      if (!NoTrailing("stats")) continue;
-      Flush();
-      // Shared formatter (epoch, cache counters, in-flight batches), plus
-      // the per-connection view when the socket listener is mounted.
-      std::fputs(serve::FormatServiceStats(service).c_str(), stdout);
-      if (server) std::fputs(server->StatsText().c_str(), stdout);
-      std::fflush(stdout);
-    } else {
-      QueryRequest request;
-      if (Status s = serve::ParseQueryLine(line, &request); !s) {
-        Reject(s.message() + "; directives: publish <path>, epoch, stats");
-        continue;
-      }
-      // Semantic validation per line too (node range, params), so one
-      // bad line is rejected here instead of failing the whole batch at
-      // flush. The publish-flushes-first rule above means the epoch
-      // validated against is the epoch the query will be served from.
-      if (auto canon = CanonicalizeRequest(request, view_nodes()); !canon) {
-        Reject(canon.status().ToString());
-        continue;
-      }
-      pending.push_back(request);
-    }
-  }
-  Flush();
+  serve::ServeTextLoop(service, top, std::cin, std::cout, std::cerr);
   return 0;
 }
 
@@ -619,8 +477,10 @@ int CmdShardBuild(const Args& args) {
 
 int CmdShardWorker(const Args& args) {
   if (args.positional.size() != 2) return Usage();
-  const uint32_t index = static_cast<uint32_t>(
-      std::strtoul(args.positional[1].c_str(), nullptr, 10));
+  const auto parsed_index = UintArg("shard index", args.positional[1],
+                                   std::numeric_limits<uint32_t>::max());
+  if (!parsed_index) return 1;
+  const uint32_t index = static_cast<uint32_t>(*parsed_index);
   shard::ShardWorker::Options options;
   const int64_t port = args.FlagInt("port", 0);
   if (port < 0 || port > 65535) {
@@ -651,6 +511,11 @@ int CmdShardWorker(const Args& args) {
 
 int CmdServeShards(const Args& args) {
   if (!args.positional.empty()) return Usage();
+  if (args.Flag("port")) {
+    std::fprintf(stderr, "error: serve --shards has no socket front end; "
+                 "--port applies to `serve <summary>`\n");
+    return 1;
+  }
   const std::string manifest_path = *args.Flag("shards");
   auto manifest = shard::LoadManifest(manifest_path);
   if (!manifest) {
@@ -667,15 +532,9 @@ int CmdServeShards(const Args& args) {
   std::vector<std::unique_ptr<shard::ShardWorker>> local_workers;
   std::vector<uint16_t> ports;
   if (auto csv = args.Flag("workers")) {
-    size_t begin = 0;
-    while (begin < csv->size()) {
-      size_t end = csv->find(',', begin);
-      if (end == std::string::npos) end = csv->size();
-      ports.push_back(static_cast<uint16_t>(
-          std::strtoul(csv->substr(begin, end - begin).c_str(), nullptr,
-                       10)));
-      begin = end + 1;
-    }
+    auto parsed = UintListArg<uint16_t>("--workers", *csv);
+    if (!parsed) return 1;
+    ports = *std::move(parsed);
   } else {
     shard::ShardWorker::Options options;
     options.service.num_threads =
@@ -697,100 +556,12 @@ int CmdServeShards(const Args& args) {
                  coordinator.status().ToString().c_str());
     return 2;
   }
-  shard::Coordinator& coord = **coordinator;
   std::printf("serving %u shard(s) from %s (%s workers; blank line answers "
               "the pending batch; directives: epoch, stats)\n",
-              coord.num_shards(), manifest_path.c_str(),
+              (*coordinator)->num_shards(), manifest_path.c_str(),
               local_workers.empty() ? "external" : "in-process");
   std::fflush(stdout);
-
-  std::vector<QueryRequest> pending;
-  const auto Flush = [&] {
-    if (!pending.empty()) {
-      auto batch = coord.Answer(pending);
-      if (!batch) {
-        std::fprintf(stderr, "error: %s\n",
-                     batch.status().ToString().c_str());
-      } else {
-        std::string out;
-        uint64_t epoch = 0;
-        for (size_t i = 0; i < pending.size(); ++i) {
-          out += serve::FormatAnswer(pending[i], batch->results[i], top);
-        }
-        for (uint64_t e : batch->shard_epochs) epoch = std::max(epoch, e);
-        // Same trailer as single-view serving; with one shard the whole
-        // response is byte-identical to `pegasus serve` on that shard.
-        out += "epoch " + std::to_string(epoch) + "\n";
-        std::fputs(out.c_str(), stdout);
-      }
-      pending.clear();
-    }
-    std::fflush(stdout);
-  };
-
-  std::string line;
-  size_t line_no = 0;
-  const auto Reject = [&line_no](const std::string& message) {
-    std::fprintf(stderr, "error: stdin:%zu: %s\n", line_no, message.c_str());
-  };
-  while (std::getline(std::cin, line)) {
-    ++line_no;
-    std::istringstream ls(line);
-    std::string first;
-    ls >> first;
-    const auto NoTrailing = [&](const char* directive) {
-      std::string extra;
-      if (ls >> extra) {
-        Reject(std::string(directive) + ": unexpected trailing token '" +
-               extra + "'");
-        return false;
-      }
-      return true;
-    };
-    if (first.empty()) {
-      Flush();
-    } else if (first[0] == '#') {
-      continue;
-    } else if (first == "epoch") {
-      if (!NoTrailing("epoch")) continue;
-      Flush();
-      auto epochs = coord.GatherEpochs();
-      if (!epochs) {
-        Reject(epochs.status().ToString());
-        continue;
-      }
-      // One line per shard: each worker swaps epochs independently.
-      for (uint32_t s = 0; s < coord.num_shards(); ++s) {
-        std::printf("shard %u epoch %llu\n", s,
-                    static_cast<unsigned long long>((*epochs)[s]));
-      }
-      std::fflush(stdout);
-    } else if (first == "stats") {
-      if (!NoTrailing("stats")) continue;
-      Flush();
-      auto stats = coord.GatherStats();
-      if (!stats) {
-        Reject(stats.status().ToString());
-        continue;
-      }
-      std::fputs(stats->c_str(), stdout);
-      std::fflush(stdout);
-    } else {
-      QueryRequest request;
-      if (Status s = serve::ParseQueryLine(line, &request); !s) {
-        Reject(s.message() + "; directives: epoch, stats");
-        continue;
-      }
-      if (auto canon = CanonicalizeRequest(request,
-                                           coord.manifest().num_nodes);
-          !canon) {
-        Reject(canon.status().ToString());
-        continue;
-      }
-      pending.push_back(request);
-    }
-  }
-  Flush();
+  serve::ServeTextLoop(**coordinator, top, std::cin, std::cout, std::cerr);
   return 0;
 }
 
@@ -810,7 +581,11 @@ int CmdEvaluate(const Args& args) {
   }
   const double alpha = args.FlagDouble("alpha", 1.25);
   std::vector<NodeId> targets;
-  if (auto t = args.Flag("targets")) targets = ParseTargets(*t);
+  if (auto t = args.Flag("targets")) {
+    auto parsed = UintListArg<NodeId>("--targets", *t);
+    if (!parsed) return 1;
+    targets = *std::move(parsed);
+  }
 
   auto weights = PersonalWeights::Compute(*graph, targets, alpha);
   std::printf("compression ratio      %.4f\n",

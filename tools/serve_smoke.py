@@ -14,7 +14,11 @@ summary from an out-of-process client:
     usable,
   * assert epoch/stats directives,
   * close stdin and require a clean exit 0 (the stdin loop's EOF is the
-    server's shutdown signal).
+    server's shutdown signal),
+  * run plain `pegasus serve <summary>` over stdin alone and require each
+    batch's stdout to equal the socket reply body byte for byte, the
+    directive replies to equal the socket's, and the timing line to go to
+    stderr.
 
 Usage: serve_smoke.py <path-to-pegasus-binary>
 Exit code 0 on success; any assertion prints a diagnostic and exits 1.
@@ -170,6 +174,31 @@ def main():
         if server.poll() is None:
             server.kill()
             server.wait()
+
+    # stdin leg: the same batch and directives through the stdin loop of a
+    # fresh `serve` without --port.
+    stdin_text = ("epoch\n" + MIXED_BATCH.decode() + "\n" +
+                  "publish " + summary + "\n" + MIXED_BATCH.decode())
+    proc = subprocess.run([pegasus, "serve", summary], input=stdin_text,
+                          capture_output=True, timeout=120, text=True)
+    if proc.returncode != 0:
+        fail("stdin serve exited %d: %s" % (proc.returncode, proc.stderr))
+    banner, _, stdout = proc.stdout.partition("\n")
+    if not banner.startswith("serving "):
+        fail("stdin serve banner missing: %r" % proc.stdout[:200])
+    published = b"epoch 2 published ("
+    expected_head = b"epoch 1\n" + first + published
+    if not stdout.encode().startswith(expected_head):
+        fail("stdin stdout diverged from the socket replies:\n%r\nvs\n%r"
+             % (stdout[:600], expected_head[:600]))
+    # The second batch answers from epoch 2 with the same summary: the
+    # socket reply with the epoch line swapped.
+    second = first[:-len(b"epoch 1\n")] + b"epoch 2\n"
+    if not stdout.encode().endswith(b")\n" + second):
+        fail("stdin batch after publish diverged: %r" % stdout[-400:])
+    if proc.stderr.count("answered 5 queries in ") != 2 or \
+            "error" in proc.stderr:
+        fail("stdin serve stderr: %r" % proc.stderr)
 
     print("serve socket smoke: all checks passed")
     return 0

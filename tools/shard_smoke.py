@@ -17,7 +17,10 @@ Drives the full `src/shard` pipeline with real processes and sockets:
     byte-identical to a plain `pegasus serve <shard.psb> --port` socket
     batch — sharded serving at N=1 is indistinguishable from single-view
     serving,
-  * shut every worker down via stdin EOF and require clean exit 0.
+  * shut every worker down via stdin EOF and require clean exit 0,
+  * reject malformed integer arguments (--workers, --targets, a
+    shard-worker index) and `serve --shards --port` as usage errors
+    (exit 1) that name the offending entry.
 
 Usage: shard_smoke.py <path-to-pegasus-binary>
 Exit code 0 on success; any assertion prints a diagnostic and exits 1.
@@ -107,6 +110,14 @@ def run_coordinator(pegasus, manifest, stdin_text, blocks, workers=None):
     return coordinator_blocks(proc.stdout, blocks)
 
 
+def expect_usage_error(cmd, needle):
+    proc = subprocess.run(cmd, input="", capture_output=True, timeout=60,
+                          text=True)
+    if proc.returncode != 1 or needle not in proc.stderr:
+        fail("%r: expected exit 1 with %r on stderr, got %d: %r"
+             % (cmd, needle, proc.returncode, proc.stderr[:300]))
+
+
 def main():
     if len(sys.argv) != 2:
         fail("usage: shard_smoke.py <pegasus-binary>")
@@ -185,6 +196,21 @@ def main():
     if sharded != direct:
         fail("1-shard coordinator diverged from single-view serving:\n"
              "%r\nvs\n%r" % (sharded, direct))
+
+    # --- strict integer arguments -----------------------------------------
+    serve3 = [pegasus, "serve", "--shards", manifest3]
+    expect_usage_error(serve3 + ["--workers", "65537"],
+                       "--workers: bad entry '65537'")
+    expect_usage_error(serve3 + ["--workers", "1,x,3"],
+                       "--workers: bad entry 'x'")
+    expect_usage_error(serve3 + ["--workers", "1,,3"],
+                       "--workers: bad entry ''")
+    expect_usage_error(serve3 + ["--port", "0"], "--port")
+    expect_usage_error([pegasus, "summarize", edges,
+                        os.path.join(workdir, "unused.summary"),
+                        "--targets", "1,x"], "--targets: bad entry 'x'")
+    expect_usage_error([pegasus, "shard-worker", manifest3, "abc"],
+                       "shard index: bad entry 'abc'")
 
     print("shard scatter-gather smoke: all checks passed")
     return 0
